@@ -10,7 +10,7 @@ import numpy as np
 from . import ops
 from .nn import Conv2d, LayerNorm2d, Linear, Module, param
 from .scan_orders import ScanPermutation, build_order
-from .ssm import decompose_output, selective_scan, selective_scan_op, zoh_discretize
+from .ssm import scan_terms, selective_scan_op, zoh_discretize
 from .tensor import ContractError, Tensor, no_grad
 
 _PERM_CACHE: dict[tuple[int, int, str], ScanPermutation] = {}
@@ -225,8 +225,7 @@ class MOS2D(Module):
             delta, b, c = self.head(f_dsam)
             a = -np.exp(self.a_log.data)
             disc = zoh_discretize(a, delta.data.T, b.data)
-            y, _ = selective_scan(xs.data.T, disc, c.data, self.skip_gain.data)
-            longrange, local = decompose_output(xs.data.T, disc, c.data,
+            y, _, longrange, local = scan_terms(xs.data.T, disc, c.data,
                                                 self.skip_gain.data)
         skip = self.skip_gain.data[:, None] * xs.data.T
         deviation = float(np.max(np.abs(longrange + local + skip - y)))

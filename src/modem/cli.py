@@ -104,28 +104,38 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args):
-    cfg = load_config(args.config)
-    tensors, stage = load_checkpoint(args.checkpoint)
-    model = build_model(cfg, stage=stage)
-    model.load_state(tensors)
-    return cfg, model, stage
-
-
-def _cmd_restore(args) -> int:
+def _load_inputs(args):
+    """(model, input image, reference or None, estimator input) for restore
+    and decompose; prints the error and returns None on bad input."""
     try:
-        cfg, model, stage = _load_model(args)
+        cfg = load_config(args.config)
+        tensors, stage = load_checkpoint(args.checkpoint)
+        model = build_model(cfg, stage=stage)
+        model.load_state(tensors)
         lq = read_ppm(args.input)
         ref = read_ppm(args.ref) if args.ref else None
     except (OSError, ConfigError, CheckpointFormatError, PPMFormatError,
             KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return None
+    if ref is not None and ref.shape != lq.shape:
+        print(f"error: --ref is {ref.shape[2]}x{ref.shape[1]} but --in is "
+              f"{lq.shape[2]}x{lq.shape[1]}; they must be the same size",
+              file=sys.stderr)
+        return None
     if stage == 1 and ref is None:
         print("error: a stage-1 checkpoint needs --ref (the estimator reads "
               "the reference alongside the input)", file=sys.stderr)
-        return USAGE_ERROR
+        return None
     ddem_in = np.concatenate([lq, ref], axis=0) if stage == 1 else lq
+    return model, lq, ref, ddem_in
+
+
+def _cmd_restore(args) -> int:
+    inputs = _load_inputs(args)
+    if inputs is None:
+        return USAGE_ERROR
+    model, lq, ref, ddem_in = inputs
     with no_grad():
         restored, _ = model(Tensor(lq), Tensor(ddem_in))
     out = np.clip(restored.data, 0.0, 1.0)
@@ -134,23 +144,16 @@ def _cmd_restore(args) -> int:
     if ref is not None:
         print(f"psnr_in: {metrics.psnr(lq, ref):.4f}")
         print(f"psnr_out: {metrics.psnr(out, ref):.4f}")
-        print(f"ssim_out: {metrics.ssim(out, ref):.4f}")
+        if min(out.shape[1:]) >= metrics.SSIM_WINDOW:
+            print(f"ssim_out: {metrics.ssim(out, ref):.4f}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        cfg, model, stage = _load_model(args)
-        lq = read_ppm(args.input)
-        ref = read_ppm(args.ref) if args.ref else None
-    except (OSError, ConfigError, CheckpointFormatError, PPMFormatError,
-            KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    inputs = _load_inputs(args)
+    if inputs is None:
         return USAGE_ERROR
-    if stage == 1 and ref is None:
-        print("error: a stage-1 checkpoint needs --ref", file=sys.stderr)
-        return USAGE_ERROR
-    ddem_in = np.concatenate([lq, ref], axis=0) if stage == 1 else lq
+    model, lq, _, ddem_in = inputs
     with no_grad():
         priors = model.ddem(Tensor(ddem_in))
         mult = 1 << (model.backbone_cfg.levels - 1)

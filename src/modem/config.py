@@ -7,6 +7,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from .metrics import SSIM_WINDOW
 from .model import BackboneConfig
 
 
@@ -21,6 +22,11 @@ class DataConfig:
     patch: int = 64
     kinds: tuple[str, ...] = ("streaks", "haze")
     severity: tuple[float, float] = (0.3, 0.6)
+
+    def __post_init__(self):
+        if self.patch < SSIM_WINDOW:
+            raise ConfigError(f"data.patch: {self.patch} is below {SSIM_WINDOW}, "
+                              "the SSIM window held-out patches are scored with")
 
 
 @dataclass(frozen=True)

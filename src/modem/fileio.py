@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -61,18 +62,34 @@ def _read_token(f) -> bytes:
         tok += ch
 
 
+def _read_int(f, what: str) -> int:
+    tok = _read_token(f)
+    try:
+        return int(tok)
+    except ValueError:
+        raise PPMFormatError(f"PPM {what} {tok!r} is not an integer") from None
+
+
 def read_ppm(path: str) -> np.ndarray:
     """Load a binary PPM (P6, maxval 255) as a (3, H, W) float image in [0, 1]."""
     with open(path, "rb") as f:
         if f.read(2) != b"P6":
             raise PPMFormatError("not a P6 PPM file")
-        W = int(_read_token(f))
-        H = int(_read_token(f))
-        maxval = int(_read_token(f))
+        W = _read_int(f, "width")
+        H = _read_int(f, "height")
+        maxval = _read_int(f, "maxval")
         if maxval != 255:
             raise PPMFormatError(f"unsupported maxval {maxval}; expected 255")
-        body = f.read(3 * H * W)
-        if len(body) != 3 * H * W:
+        if W <= 0 or H <= 0:
+            raise PPMFormatError(f"PPM size {W}x{H} is not positive")
+        size = 3 * H * W
+        st = os.fstat(f.fileno())
+        left = st.st_size - f.tell()
+        if stat.S_ISREG(st.st_mode) and size > left:
+            raise PPMFormatError(f"truncated PPM pixel data: {W}x{H} needs "
+                                 f"{size} bytes, {left} left")
+        body = f.read(size)
+        if len(body) != size:
             raise PPMFormatError("truncated PPM pixel data")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(H, W, 3)
     return pixels.transpose(2, 0, 1).astype(float) / 255.0

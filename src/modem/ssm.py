@@ -10,6 +10,15 @@ Array conventions (d = inner channels, L = sequence length, N = state dim):
 The scan is one autodiff primitive: the forward recurrence stores the state
 trajectory and the backward rule is derived by hand (verified against finite
 differences in the tests).
+
+Without numba, both directions run one in-place linear recurrence,
+h[:, k] += a[:, k-1] * h[:, k-1]: the forward pass on the states with
+a = Abar[:, 1:], the backward pass on the state gradients over reversed
+views with a = Abar shifted by one step. On long sequences with few
+channels x states it steps chunks of the sequence together (about
+2 sqrt(3L) numpy steps instead of L, see `_linear_recurrence`); elsewhere
+it steps one token at a time. With numba, compiled sequential kernels
+take the place of both directions behind the same two entry points.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, is_recording
 
 # Below this |delta * A| the (exp(u) - 1)/A factor switches to its series.
 SERIES_THRESHOLD = 1e-8
@@ -46,59 +55,121 @@ class DiscreteSSM:
 
 
 def _zoh_factors(A: np.ndarray, delta: np.ndarray):
-    """Return (Abar, phi) with Abar = exp(delta*A), phi = (Abar - 1)/A."""
+    """Return (Abar, phi) with Abar = exp(delta*A), phi = (Abar - 1)/A.
+
+    Two full-size buffers: u = delta*A becomes Abar in place, and the
+    series branch is evaluated only at the entries its mask selects.
+    """
     u = delta[:, :, None] * A[:, None, :]
-    Abar = np.exp(u)
-    series = np.abs(u) < SERIES_THRESHOLD
-    A_safe = np.where(np.abs(A) < 1e-300, 1.0, A)
-    phi_exact = (Abar - 1.0) / A_safe[:, None, :]
-    phi_series = delta[:, :, None] * (1.0 + 0.5 * u)
-    phi = np.where(series, phi_series, phi_exact)
+    phi = np.abs(u)
+    series = phi < SERIES_THRESHOLD
+    u_series = u[series] if series.any() else None
+    Abar = np.exp(u, out=u)
+    np.subtract(Abar, 1.0, out=phi)
+    phi /= np.where(np.abs(A) < 1e-300, 1.0, A)[:, None, :]
+    if u_series is not None:
+        phi[series] = (np.broadcast_to(delta[:, :, None], phi.shape)[series]
+                       * (1.0 + 0.5 * u_series))
     return Abar, phi
 
 
 def zoh_discretize(A: np.ndarray, delta: np.ndarray, B: np.ndarray) -> DiscreteSSM:
     """Zero-order-hold discretization of the diagonal system (A, B)."""
     Abar, phi = _zoh_factors(np.asarray(A, float), np.asarray(delta, float))
-    Bbar = phi * np.asarray(B, float)[None, :, :]
-    return DiscreteSSM(Abar=Abar, Bbar=Bbar)
+    phi *= np.asarray(B, float)[None, :, :]
+    return DiscreteSSM(Abar=Abar, Bbar=phi)
+
+
+# The chunked recurrence runs on sequences of at least CHUNKED_MIN_LEN
+# tokens with at most CHUNKED_MAX_DN channels x states. It does about twice
+# the arithmetic of the plain loop and pays off only while each step is
+# small enough for the interpreter, not the arithmetic, to set its cost.
+CHUNKED_MIN_LEN = 64
+CHUNKED_MAX_DN = 320
+
+
+def _chunk_len(d_n: int, L: int) -> int:
+    """Chunk length T for a length-L recurrence over d_n = d*N lanes, 0 for
+    the plain loop.
+
+    The chunked form takes about 3T + L/T interpreter steps (local pass,
+    fix-up pass, tail; carry over the chunk ends), least at T = sqrt(L/3).
+    """
+    if L < CHUNKED_MIN_LEN or d_n > CHUNKED_MAX_DN:
+        return 0
+    return int(round(np.sqrt(L / 3.0)))
+
+
+def _chunks(v: np.ndarray, nc: int, T: int) -> np.ndarray:
+    """(d, nc, T, N) view of the first nc*T steps of a (d, L, N) view."""
+    sd, sl, sn = v.strides
+    return np.lib.stride_tricks.as_strided(
+        v, shape=(v.shape[0], nc, T, v.shape[2]), strides=(sd, T * sl, sl, sn))
+
+
+def _linear_recurrence(a: np.ndarray, h: np.ndarray, T: int) -> None:
+    """In place: h[:, k] += a[:, k-1] * h[:, k-1] for k = 1 .. L-1.
+
+    h is (d, L, N) and a is (d, L-1, N); either may be a strided or
+    reversed view. With T >= 2 the L-1 updated steps are cut into chunks
+    of T that step together: a local pass runs each chunk from a zero
+    state, a carry runs over the chunk ends (the state entering each
+    chunk), and a fix-up pass adds the running product of `a` times that
+    carry. The L-1 mod T steps left over run one at a time. Extra memory
+    is O(d*N*L/T). With T = 0, or room for fewer than two chunks, the
+    whole sequence runs one step at a time.
+    """
+    L = h.shape[1]
+    nc = (L - 1) // T if T else 0
+    done = 1
+    if nc >= 2:
+        hc = _chunks(h[:, 1:], nc, T)
+        ac = _chunks(a, nc, T)
+        tmp = np.empty(hc.shape[:2] + hc.shape[3:])
+        for t in range(1, T):                       # local pass
+            np.multiply(ac[:, :, t], hc[:, :, t - 1], out=tmp)
+            hc[:, :, t] += tmp
+        prod = np.prod(ac, axis=2)                  # decay across each chunk
+        carry = np.empty_like(tmp)                  # state entering chunk c
+        carry[:, 0] = h[:, 0]
+        for c in range(1, nc):
+            np.multiply(prod[:, c - 1], carry[:, c - 1], out=carry[:, c])
+            carry[:, c] += hc[:, c - 1, T - 1]
+        for t in range(T):                          # fix-up pass
+            carry *= ac[:, :, t]
+            hc[:, :, t] += carry
+        done = 1 + nc * T
+    for k in range(done, L):
+        h[:, k] += a[:, k - 1] * h[:, k - 1]
 
 
 def _scan_forward_np(x, Abar, Bbar, C, D):
     d, L = x.shape
-    N = Abar.shape[2]
-    h = np.zeros((d, N))
-    states = np.empty((d, L, N))
-    longrange = np.empty((d, L))
-    local = np.empty((d, L))
-    for k in range(L):
-        a_k = Abar[:, k, :]
-        bx_k = Bbar[:, k, :] * x[:, k, None]
-        ah = a_k * h
-        longrange[:, k] = ah @ C[k]
-        local[:, k] = bx_k @ C[k]
-        h = ah + bx_k
-        states[:, k, :] = h
-    y = longrange + local + D[:, None] * x
+    states = Bbar
+    states *= x[:, :, None]
+    local = np.einsum("dln,ln->dl", states, C)
+    _linear_recurrence(Abar[:, 1:], states, _chunk_len(d * C.shape[1], L))
+    longrange = np.zeros_like(local)
+    np.einsum("dln,dln,ln->dl", Abar[:, 1:], states[:, :-1], C[1:],
+              out=longrange[:, 1:])
+    y = longrange + local
+    y += D[:, None] * x
     return y, states, longrange, local
 
 
 def _scan_backward_np(dy, x, C, Abar, Bbar, states):
     d, L = x.shape
-    N = Abar.shape[2]
-    dx = np.zeros_like(x)
-    dC = np.zeros_like(C)
-    dAbar = np.empty((d, L, N))
-    dBbar = np.empty((d, L, N))
-    dh = np.zeros((d, N))
-    for k in range(L - 1, -1, -1):
-        dh = dh + dy[:, k, None] * C[k][None, :]
-        dC[k] = (dy[:, k, None] * states[:, k, :]).sum(axis=0)
-        h_prev = states[:, k - 1, :] if k > 0 else np.zeros((d, N))
-        dAbar[:, k, :] = dh * h_prev
-        dBbar[:, k, :] = dh * x[:, k, None]
-        dx[:, k] = (dh * Bbar[:, k, :]).sum(axis=1)
-        dh = dh * Abar[:, k, :]
+    # dh[:, k] = dL/dh_k = dy_k C_k + Abar_{k+1} dh[:, k+1]: the forward
+    # recurrence run over reversed views.
+    dh = dy[:, :, None] * C[None, :, :]
+    _linear_recurrence(Abar[:, :0:-1], dh[:, ::-1],
+                       _chunk_len(d * C.shape[1], L))
+    dx = np.einsum("dln,dln->dl", dh, Bbar)
+    dC = np.einsum("dl,dln->ln", dy, states)
+    dAbar = np.empty_like(dh)
+    dAbar[:, 0] = 0.0
+    np.multiply(dh[:, 1:], states[:, :-1], out=dAbar[:, 1:])
+    dBbar = dh * x[:, :, None]
     return dx, dC, dAbar, dBbar
 
 
@@ -159,46 +230,50 @@ except ImportError:  # pragma: no cover
 
 
 def _scan_forward(x, Abar, Bbar, C, D):
-    """Sequential recurrence. Returns y, states h (d, L, N), and the
-    long-range / local output terms (computed in the same arithmetic order
-    as y, so longrange + local + D*x == y holds bit-for-bit)."""
-    args = [np.ascontiguousarray(a) for a in (x, Abar, Bbar, C, D)]
+    """Run the recurrence. Returns y, states h (d, L, N), and the long-range
+    / local output terms; y is formed as longrange + local + D*x, so that
+    sum reproduces it bit-for-bit. Bbar is a buffer the caller gives up:
+    the numpy kernel turns it into the states in place."""
     if _HAVE_NUMBA:
-        return _scan_forward_jit(*args)
-    return _scan_forward_np(*args)
+        return _scan_forward_jit(*[np.ascontiguousarray(a)
+                                   for a in (x, Abar, Bbar, C, D)])
+    return _scan_forward_np(x, Abar, Bbar, C, D)
 
 
 def _scan_backward_core(dy, x, C, Abar, Bbar, states):
-    args = [np.ascontiguousarray(a) for a in (dy, x, C, Abar, Bbar, states)]
     if _HAVE_NUMBA:
-        return _scan_backward_jit(*args)
-    return _scan_backward_np(*args)
+        return _scan_backward_jit(*[np.ascontiguousarray(a) for a in
+                                    (dy, x, C, Abar, Bbar, states)])
+    return _scan_backward_np(dy, x, C, Abar, Bbar, states)
 
 
-def selective_scan(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
-                   D: np.ndarray):
-    """Run the recurrence; returns (y, states)."""
-    x = np.asarray(x, float)
-    if x.shape != disc.Abar.shape[:2]:
-        raise ShapeError(f"x {x.shape} incompatible with Abar {disc.Abar.shape}")
-    if C.shape != (x.shape[1], disc.Abar.shape[2]):
-        raise ShapeError(f"C {C.shape} incompatible with scan extents")
-    y, states, _, _ = _scan_forward(x, disc.Abar, disc.Bbar,
-                                    np.asarray(C, float), np.asarray(D, float))
-    return y, states
-
-
-def decompose_output(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
-                     D: np.ndarray):
-    """Split the scan output into its long-range and local terms.
+def scan_terms(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
+               D: np.ndarray):
+    """One scan; returns (y, states, longrange, local).
 
     longrange[k] = C_k . (Abar_k h_{k-1}), local[k] = C_k . (Bbar_k x_k);
     longrange + local + D*x reproduces y exactly.
     """
     x = np.asarray(x, float)
-    _, _, longrange, local = _scan_forward(x, disc.Abar, disc.Bbar,
-                                           np.asarray(C, float),
-                                           np.asarray(D, float))
+    if x.shape != disc.Abar.shape[:2]:
+        raise ShapeError(f"x {x.shape} incompatible with Abar {disc.Abar.shape}")
+    if C.shape != (x.shape[1], disc.Abar.shape[2]):
+        raise ShapeError(f"C {C.shape} incompatible with scan extents")
+    return _scan_forward(x, disc.Abar, np.array(disc.Bbar, float),
+                         np.asarray(C, float), np.asarray(D, float))
+
+
+def selective_scan(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
+                   D: np.ndarray):
+    """Run the recurrence; returns (y, states)."""
+    y, states, _, _ = scan_terms(x, disc, C, D)
+    return y, states
+
+
+def decompose_output(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
+                     D: np.ndarray):
+    """Split the scan output into its long-range and local terms."""
+    _, _, longrange, local = scan_terms(x, disc, C, D)
     return longrange, local
 
 
@@ -208,39 +283,51 @@ def scan_backward(dy, x, delta, A, B, C, D, Abar, phi, states):
     dy: (d, L) upstream gradient. Abar/phi are the saved ZOH factors and
     states the saved hidden trajectory.
     """
-    Bbar = phi * B[None, :, :]
-    dx, dC, dAbar, dBbar = _scan_backward_core(dy, x, C, Abar, Bbar, states)
-    dx = dx + dy * D[:, None]
+    dx, dC, dAbar, dBbar = _scan_backward_core(dy, x, C, Abar,
+                                               phi * B[None, :, :], states)
+    dx += dy * D[:, None]
     dD = (dy * x).sum(axis=1)
 
-    # ZOH factor gradients.
-    u = delta[:, :, None] * A[:, None, :]
-    series = np.abs(u) < SERIES_THRESHOLD
-    A_safe = np.where(np.abs(A) < 1e-300, 1.0, A)[:, None, :]
-    dphi = dBbar * B[None, :, :]
-    dB = (dBbar * phi).sum(axis=0)
-
-    # phi = (exp(u)-1)/A: d/ddelta = Abar; d/dA = delta*Abar/A - (Abar-1)/A^2.
-    dphi_dA = np.where(
-        series,
-        0.5 * delta[:, :, None] ** 2,
-        delta[:, :, None] * Abar / A_safe - (Abar - 1.0) / (A_safe * A_safe),
-    )
-    ddelta = (dAbar * A[:, None, :] * Abar + dphi * Abar).sum(axis=2)
-    dA = (dAbar * delta[:, :, None] * Abar + dphi * dphi_dA).sum(axis=1)
+    # ZOH factor gradients, with u = delta*A and phi = (exp(u) - 1)/A:
+    # dphi/ddelta = Abar and dphi/dA = (delta*Abar - phi)/A, whose series
+    # form where |u| is tiny is delta^2/2. dBbar and dAbar are reused as
+    # dphi = dBbar*B and dAbar*Abar.
+    dB = np.einsum("dln,dln->ln", dBbar, phi)
+    dphi = dBbar
+    dphi *= B[None, :, :]
+    dAbar *= Abar
+    ddelta = (np.einsum("dln,dn->dl", dAbar, A)
+              + np.einsum("dln,dln->dl", dphi, Abar))
+    dphi_dA = np.multiply(delta[:, :, None], A[:, None, :])
+    series = np.abs(dphi_dA, out=dphi_dA) < SERIES_THRESHOLD
+    np.multiply(delta[:, :, None], Abar, out=dphi_dA)
+    dphi_dA -= phi
+    dphi_dA /= np.where(np.abs(A) < 1e-300, 1.0, A)[:, None, :]
+    if series.any():
+        dphi_dA[series] = 0.5 * np.broadcast_to(delta[:, :, None],
+                                                dphi_dA.shape)[series] ** 2
+    dA = (np.einsum("dln,dl->dn", dAbar, delta)
+          + np.einsum("dln,dln->dn", dphi, dphi_dA))
     return dx, ddelta, dA, dB, dC, dD
 
 
 def selective_scan_op(x: Tensor, delta: Tensor, A: Tensor, B: Tensor,
                       C: Tensor, D: Tensor) -> Tensor:
-    """Differentiable ZOH + selective scan as one tape primitive."""
+    """Differentiable ZOH + selective scan as one tape primitive.
+
+    When the tape is not recording, Bbar is formed in place in phi and
+    neither the states nor a backward closure are kept.
+    """
+    parents = (x, delta, A, B, C, D)
     xd, dd = x.data, delta.data
     Ad, Bd, Cd, Dd = A.data, B.data, C.data, D.data
     Abar, phi = _zoh_factors(Ad, dd)
-    Bbar = phi * Bd[None, :, :]
-    y, states, _, _ = _scan_forward(xd, Abar, Bbar, Cd, Dd)
+    if not is_recording(parents):
+        phi *= Bd[None, :, :]
+        return Tensor(_scan_forward(xd, Abar, phi, Cd, Dd)[0])
+    y, states, _, _ = _scan_forward(xd, Abar, phi * Bd[None, :, :], Cd, Dd)
 
     def backward(grad):
         return scan_backward(grad, xd, dd, Ad, Bd, Cd, Dd, Abar, phi, states)
 
-    return Tensor.from_op(y, (x, delta, A, B, C, D), backward)
+    return Tensor.from_op(y, parents, backward)

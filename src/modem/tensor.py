@@ -50,6 +50,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def is_recording(parents) -> bool:
+    """Whether an op on `parents` goes on the tape (see Tensor.from_op)."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -86,7 +91,7 @@ class Tensor:
     @staticmethod
     def from_op(data: np.ndarray, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if is_recording(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

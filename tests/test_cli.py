@@ -64,6 +64,14 @@ class TestTrain:
         assert main(["train", "--stage", "1",
                      "--config", write_cfg(tmp_path, payload)]) == 2
 
+    def test_patch_below_ssim_window_usage_error(self, tmp_path, capsys):
+        payload = toy_run_config(str(tmp_path / "run"))
+        payload["data"]["patch"] = 8
+        assert main(["train", "--stage", "1",
+                     "--config", write_cfg(tmp_path, payload)]) == 2
+        assert "data.patch" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "run"))
+
     def test_stage2_requires_from(self, tmp_path):
         payload = toy_run_config(str(tmp_path / "run"))
         assert main(["train", "--stage", "2",
@@ -118,6 +126,31 @@ class TestRestore:
                      "--in", lq, "--out", out]) == 2
         assert main(["restore", "--checkpoint", stage1, "--config", cfg_path,
                      "--in", lq, "--out", out, "--ref", gt]) == 0
+
+    def test_ref_of_another_size_usage_error(self, trained, tmp_path,
+                                             capsys):
+        _, cfg_path, stage1, stage2 = trained
+        lq, _ = make_ppm_pair(tmp_path, patch=16)
+        small = str(tmp_path / "small.ppm")
+        write_ppm(small, np.full((3, 5, 7), 0.5))
+        out = str(tmp_path / "r.ppm")
+        for ckpt in (stage1, stage2):
+            assert main(["restore", "--checkpoint", ckpt, "--config",
+                         cfg_path, "--in", lq, "--out", out,
+                         "--ref", small]) == 2
+            assert "same size" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_small_image_omits_ssim(self, trained, tmp_path, capsys):
+        _, cfg_path, stage1, _ = trained
+        small = str(tmp_path / "small.ppm")
+        write_ppm(small, np.full((3, 5, 7), 0.5))
+        out = str(tmp_path / "r.ppm")
+        assert main(["restore", "--checkpoint", stage1, "--config", cfg_path,
+                     "--in", small, "--out", out, "--ref", small]) == 0
+        text = capsys.readouterr().out
+        assert "psnr_out:" in text and "ssim_out:" not in text
+        assert read_ppm(out).shape == (3, 5, 7)
 
     def test_missing_checkpoint_usage_error(self, trained, tmp_path):
         _, cfg_path, _, _ = trained
@@ -179,3 +212,22 @@ class TestPPM:
         from modem.fileio import PPMFormatError
         with pytest.raises(PPMFormatError):
             read_ppm(str(path))
+
+    @pytest.mark.parametrize("header", [b"P6\n100000000 100000000\n255\n",
+                                        b"P6\n0 4\n255\n",
+                                        b"P6\n4 0\n255\n",
+                                        b"P6\n-4 4\n255\n",
+                                        b"P6\n4 x\n255\n"])
+    def test_rejects_impossible_sizes(self, tmp_path, header):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(header + b"\x00" * 48)
+        from modem.fileio import PPMFormatError
+        with pytest.raises(PPMFormatError):
+            read_ppm(str(path))
+
+    def test_restore_of_huge_header_usage_error(self, trained, tmp_path):
+        _, cfg_path, _, stage2 = trained
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6\n100000000 100000000\n255\n" + b"\x00" * 48)
+        assert main(["restore", "--checkpoint", stage2, "--config", cfg_path,
+                     "--in", str(path), "--out", str(tmp_path / "o.ppm")]) == 2

@@ -46,6 +46,14 @@ class TestStrictParsing:
         with pytest.raises(ConfigError):
             config_from_dict(payload)
 
+    def test_patch_below_ssim_window_rejected(self):
+        payload = toy_run_config("out")
+        payload["data"]["patch"] = 10
+        with pytest.raises(ConfigError, match=r"data\.patch"):
+            config_from_dict(payload)
+        payload["data"]["patch"] = 11
+        assert config_from_dict(payload).data.patch == 11
+
     def test_defaults_fill_missing_sections(self):
         cfg = config_from_dict({"seed": 4})
         assert cfg.seed == 4

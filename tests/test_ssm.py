@@ -4,12 +4,69 @@ import mpmath
 import numpy as np
 import pytest
 
+from modem import ssm
 from modem.ssm import (SERIES_THRESHOLD, DiscreteSSM, SSMParams,
                        decompose_output, scan_backward, selective_scan,
                        selective_scan_op, zoh_discretize, _zoh_factors)
-from modem.tensor import Tensor
+from modem.tensor import Tensor, no_grad
 
 from test_tensor import fd_grad
+
+
+def sequential_forward(x, Abar, Bbar, C, D):
+    """The scan one token at a time: reference for the chunked kernel."""
+    d, L = x.shape
+    N = Abar.shape[2]
+    h = np.zeros((d, N))
+    states = np.empty((d, L, N))
+    longrange = np.empty((d, L))
+    local = np.empty((d, L))
+    for k in range(L):
+        a_k = Abar[:, k, :]
+        bx_k = Bbar[:, k, :] * x[:, k, None]
+        ah = a_k * h
+        longrange[:, k] = ah @ C[k]
+        local[:, k] = bx_k @ C[k]
+        h = ah + bx_k
+        states[:, k, :] = h
+    y = longrange + local + D[:, None] * x
+    return y, states, longrange, local
+
+
+def sequential_backward(dy, x, C, Abar, Bbar, states):
+    """Reverse-time loop for (dx, dC, dAbar, dBbar): reference for the
+    chunked kernel."""
+    d, L = x.shape
+    N = Abar.shape[2]
+    dx = np.zeros_like(x)
+    dC = np.zeros_like(C)
+    dAbar = np.empty((d, L, N))
+    dBbar = np.empty((d, L, N))
+    dh = np.zeros((d, N))
+    for k in range(L - 1, -1, -1):
+        dh = dh + dy[:, k, None] * C[k][None, :]
+        dC[k] = (dy[:, k, None] * states[:, k, :]).sum(axis=0)
+        h_prev = states[:, k - 1, :] if k > 0 else np.zeros((d, N))
+        dAbar[:, k, :] = dh * h_prev
+        dBbar[:, k, :] = dh * x[:, k, None]
+        dx[:, k] = (dh * Bbar[:, k, :]).sum(axis=1)
+        dh = dh * Abar[:, k, :]
+    return dx, dC, dAbar, dBbar
+
+
+def reference_zoh_factors(A, delta):
+    """Both ZOH branches evaluated everywhere, then selected."""
+    u = delta[:, :, None] * A[:, None, :]
+    Abar = np.exp(u)
+    series = np.abs(u) < SERIES_THRESHOLD
+    A_safe = np.where(np.abs(A) < 1e-300, 1.0, A)
+    phi_exact = (Abar - 1.0) / A_safe[:, None, :]
+    phi_series = delta[:, :, None] * (1.0 + 0.5 * u)
+    return Abar, np.where(series, phi_series, phi_exact)
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
 
 
 def unrolled_oracle(x, Abar, Bbar, C, D):
@@ -80,6 +137,17 @@ class TestZOH:
         x, delta, A, B, C, D = random_instance(rng)
         disc = zoh_discretize(A, delta, B)
         assert np.all(disc.Abar > 0) and np.all(disc.Abar < 1)
+
+    def test_factors_bit_identical_to_both_branch_reference(self, rng):
+        for d, L, N in ((3, 50, 4), (8, 600, 4)):
+            A = -np.exp(3.0 * rng.normal(size=(d, N)))
+            delta = np.exp(rng.normal(scale=4.0, size=(d, L)) - 8.0)
+            delta[0, :5] = 0.0
+            assert np.any(np.abs(delta[:, :, None] * A[:, None, :])
+                          < SERIES_THRESHOLD)
+            for got, want in zip(_zoh_factors(A, delta),
+                                 reference_zoh_factors(A, delta)):
+                assert got.tobytes() == want.tobytes()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -196,3 +264,125 @@ class TestScanGradients:
             return float(y.sum())
         fd = fd_grad(f, A.copy(), eps=1e-5)
         np.testing.assert_allclose(t["A"].grad, fd, rtol=1e-4, atol=1e-10)
+
+
+T = 8
+RECURRENCE_CASES = [(d, N, L) for d, N in ((1, 1), (8, 4), (288, 8))
+                    for L in (1, 2, T - 1, T, T + 1, 2 * T + 1, 3 * T + 5,
+                              4096 if d * N < 2304 else 300)]
+
+
+class TestChunkedKernel:
+    @pytest.mark.parametrize("d,N,L", RECURRENCE_CASES)
+    def test_recurrence_matches_loop(self, rng, d, N, L):
+        """Explicit chunk length T: no chunk, one chunk, chunks with and
+        without a tail, for d*N from 1 to 2304."""
+        a = rng.uniform(0.0, 1.0, size=(d, max(L - 1, 0), N))
+        h0 = rng.normal(size=(d, L, N))
+        want = h0.copy()
+        for k in range(1, L):
+            want[:, k] = a[:, k - 1] * want[:, k - 1] + want[:, k]
+        got = h0.copy()
+        ssm._linear_recurrence(a, got, T)
+        assert rel_err(got, want) < 1e-13
+        # the same on views with negative strides, as the backward pass runs it
+        got = h0[:, ::-1].copy()[:, ::-1]
+        ssm._linear_recurrence(a[:, ::-1].copy()[:, ::-1], got, T)
+        assert rel_err(got, want) < 1e-13
+
+    @pytest.mark.parametrize("d,L,N", [(1, 3000, 1), (8, 4096, 4),
+                                       (16, 1024, 4), (36, 300, 8),
+                                       (72, 200, 8), (288, 70, 8),
+                                       (2, 100, 3), (3, 63, 2)])
+    def test_forward_and_backward_match_sequential(self, rng, d, L, N):
+        x, delta, A, B, C, D = random_instance(rng, d=d, N=N, L=L)
+        disc = zoh_discretize(A, delta, B)
+        want = sequential_forward(x, disc.Abar, disc.Bbar, C, D)
+        got = ssm._scan_forward_np(x, disc.Abar, disc.Bbar.copy(), C, D)
+        for g, w in zip(got, want):
+            assert rel_err(g, w) < 1e-12
+        dy = rng.normal(size=(d, L))
+        want = sequential_backward(dy, x, C, disc.Abar, disc.Bbar, want[1])
+        got = ssm._scan_backward_np(dy, x, C, disc.Abar, disc.Bbar, got[1])
+        for g, w in zip(got, want):
+            assert rel_err(g, w) < 1e-12
+
+    def test_chunk_rule(self):
+        assert ssm._chunk_len(32, ssm.CHUNKED_MIN_LEN - 1) == 0
+        assert ssm._chunk_len(ssm.CHUNKED_MAX_DN + 1, 4096) == 0
+        for L in (ssm.CHUNKED_MIN_LEN, 1000, 4096, 65536):
+            T = ssm._chunk_len(32, L)
+            assert T >= 2 and (L - 1) // T >= 2
+
+    def test_fd_gradient_across_chunks(self):
+        rng = np.random.default_rng(3)
+        d, N, L = 2, 3, 100
+        assert (L - 1) // ssm._chunk_len(d * N, L) >= 3
+        xd, dd, Ad, Bd, Cd, Dd = random_instance(rng, d=d, N=N, L=L)
+        tensors = {k: Tensor(v.copy(), requires_grad=True) for k, v in
+                   dict(x=xd, delta=dd, A=Ad, B=Bd, C=Cd, D=Dd).items()}
+        w = rng.normal(size=(d, L))
+        (selective_scan_op(*tensors.values()) * Tensor(w)).sum().backward()
+
+        def loss_np(vals):
+            disc = zoh_discretize(vals["A"], vals["delta"], vals["B"])
+            y, _ = selective_scan(vals["x"], disc, vals["C"], vals["D"])
+            return float((y * w).sum())
+
+        for name, t in tensors.items():
+            vals = {k: v.data for k, v in tensors.items()}
+            fd = fd_grad(lambda a: loss_np({**vals, name: a}), t.data.copy())
+            err = np.max(np.abs(t.grad - fd) / np.maximum(np.abs(fd), 1.0))
+            assert err < 1e-6, name
+
+    def test_no_grad_output_bit_equal_and_inputs_untouched(self, rng):
+        for L in (5, 500):
+            arrays = random_instance(rng, d=3, N=4, L=L)
+            saved = [a.copy() for a in arrays]
+            grad_path = selective_scan_op(
+                *[Tensor(a, requires_grad=True) for a in arrays])
+            with no_grad():
+                no_grad_path = selective_scan_op(
+                    *[Tensor(a, requires_grad=True) for a in arrays])
+            assert no_grad_path.data.tobytes() == grad_path.data.tobytes()
+            assert not no_grad_path.requires_grad
+            assert no_grad_path._backward is None
+            grad_path.sum().backward()
+            x, delta, A, B, C, D = arrays
+            disc = zoh_discretize(A, delta, B)
+            kept = [disc.Abar.copy(), disc.Bbar.copy()]
+            selective_scan(x, disc, C, D)
+            decompose_output(x, disc, C, D)
+            for a, b in zip(arrays, saved):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip((disc.Abar, disc.Bbar), kept):
+                assert a.tobytes() == b.tobytes()
+
+    def test_backward_leaves_saved_arrays_untouched(self, rng):
+        x, delta, A, B, C, D = random_instance(rng, d=3, N=4, L=300)
+        Abar, phi = _zoh_factors(A, delta)
+        y, states, _, _ = ssm._scan_forward(x, Abar, phi * B, C, D)
+        dy = rng.normal(size=y.shape)
+        args = (dy, x, delta, A, B, C, D, Abar, phi, states)
+        saved = [a.copy() for a in args]
+        scan_backward(*args)
+        for a, b in zip(args, saved):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.skipif(not ssm._HAVE_NUMBA, reason="numba is not installed")
+class TestNumbaParity:
+    @pytest.mark.parametrize("d,L,N", [(1, 1, 1), (3, 63, 2), (8, 4096, 4),
+                                       (72, 200, 8)])
+    def test_jit_matches_numpy(self, rng, d, L, N):
+        x, delta, A, B, C, D = random_instance(rng, d=d, N=N, L=L)
+        disc = zoh_discretize(A, delta, B)
+        jit = ssm._scan_forward_jit(x, disc.Abar, disc.Bbar, C, D)
+        ref = ssm._scan_forward_np(x, disc.Abar, disc.Bbar.copy(), C, D)
+        for g, w in zip(jit, ref):
+            assert rel_err(g, w) < 1e-12
+        dy = rng.normal(size=(d, L))
+        jit = ssm._scan_backward_jit(dy, x, C, disc.Abar, disc.Bbar, ref[1])
+        ref = ssm._scan_backward_np(dy, x, C, disc.Abar, disc.Bbar, ref[1])
+        for g, w in zip(jit, ref):
+            assert rel_err(g, w) < 1e-12
