@@ -124,12 +124,14 @@ class LevelConditioning:
 class S6ParamHead(Module):
     """Generates (delta, B, C) from the per-token feature chunks."""
 
-    def __init__(self, cfg: MOS2DConfig, rng: np.random.Generator):
+    def __init__(self, cfg: MOS2DConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.dt_proj = Linear(cfg.dt_rank, cfg.d_inner, rng, bias=False)
-        # softplus(dt_bias) lands in [1e-3, 1e-1]
-        dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=cfg.d_inner))
-        self.dt_bias = param(np.log(np.expm1(dt)))
+        if rng is None:                 # nothing drawn; loaded next
+            self.dt_bias = param(np.zeros(cfg.d_inner))
+        else:                           # softplus(dt_bias) lands in [1e-3, 1e-1]
+            dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=cfg.d_inner))
+            self.dt_bias = param(np.log(np.expm1(dt)))
         self.b_proj = Linear(cfg.d_state, cfg.d_state, rng, bias=False)
         self.c_proj = Linear(cfg.d_state, cfg.d_state, rng, bias=False)
 

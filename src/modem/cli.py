@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gradcheck, metrics
 from .blocks import LevelConditioning
-from .config import ConfigError, load_config
+from .config import ConfigError, env_seed, load_config
 from .fileio import PPMFormatError, atomic_write_text, read_ppm, write_ppm
 from .model import CheckpointFormatError, load_checkpoint
 from .scan_orders import SCAN_KINDS, build_order, locality_stats
@@ -23,10 +23,6 @@ from .train import (TrainingDivergedError, build_model, train_stage1,
 
 USAGE_ERROR = 2
 RUN_FAILURE = 1
-
-
-def _env_seed(default: int = 0) -> int:
-    return int(os.environ.get("MODEM_SEED", default))
 
 
 def _cmd_scan_compare(args) -> int:
@@ -57,7 +53,11 @@ def _cmd_scan_compare(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = _env_seed(args.seed)
+    try:
+        seed = env_seed(args.seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     ok = True
     for name, fn in gradcheck.CHECKS.items():
         err = fn(seed=seed)
@@ -110,8 +110,7 @@ def _load_inputs(args):
     try:
         cfg = load_config(args.config)
         tensors, stage = load_checkpoint(args.checkpoint)
-        model = build_model(cfg, stage=stage)
-        model.load_state(tensors)
+        model = build_model(cfg, stage=stage, state=tensors)
         lq = read_ppm(args.input)
         ref = read_ppm(args.ref) if args.ref else None
     except (OSError, ConfigError, CheckpointFormatError, PPMFormatError,
@@ -187,7 +186,7 @@ def _cmd_params(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    model = build_model(cfg, stage=args.stage)
+    model = build_model(cfg, stage=args.stage, draw=False)
     counts = {"ddem": model.ddem.num_parameters(),
               "backbone": model.backbone.num_parameters()}
     total = sum(counts.values())

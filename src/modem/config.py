@@ -5,10 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
 
+from .data import DEGRADATION_KINDS
 from .metrics import SSIM_WINDOW
 from .model import BackboneConfig
+from .scan_orders import SCAN_KINDS
 
 
 class ConfigError(ValueError):
@@ -55,7 +58,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.stage not in (1, 2):
-            raise ConfigError("stage must be 1 or 2")
+            raise ConfigError(f"train.stage: {self.stage} is not 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -68,34 +71,67 @@ class RunConfig:
     backbone: BackboneConfig = dataclasses.field(default_factory=BackboneConfig)
 
 
-_LIST_FIELDS = {"kinds", "severity", "betas", "periods", "restart_weights",
-                "eta_mins", "group_depths"}
+# fields whose values come from a fixed set
+_CHOICES = {"scan_kind": SCAN_KINDS, "kinds": DEGRADATION_KINDS}
+
+
+def _typed(value, tp, path: str):
+    """`value` checked against the field annotation `tp` (int, float, bool,
+    str, a config dataclass or a tuple of these, given as a JSON list)."""
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, path)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} entries, "
+                              f"got {len(value)}")
+        return tuple(_typed(v, t, f"{path}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, args)))
+    # bool is an int in Python but not a number here; an int is a float
+    ok = (float, int) if tp is float else tp
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, ok):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 def _from_dict(cls, payload: dict, path: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    field_map = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - set(field_map))
+    hints = typing.get_type_hints(cls)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - fields)
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
     kwargs = {}
     for name, value in payload.items():
         sub = f"{path}.{name}" if path else name
-        if name in ("data", "train", "ddem", "backbone"):
-            target = {"data": DataConfig, "train": TrainConfig,
-                      "ddem": DDEMOptions, "backbone": BackboneConfig}[name]
-            kwargs[name] = _from_dict(target, value, sub)
-        elif name in _LIST_FIELDS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{sub}: expected a list")
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+        typed = kwargs[name] = _typed(value, hints[name], sub)
+        if name in _CHOICES:
+            given = typed if isinstance(typed, tuple) else (typed,)
+            if not set(given) <= set(_CHOICES[name]):
+                raise ConfigError(f"{sub}: {value!r} is not one of "
+                                  f"{list(_CHOICES[name])}")
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
+
+
+def env_seed(default: int) -> int:
+    """MODEM_SEED when set, else `default`."""
+    raw = os.environ.get("MODEM_SEED")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"MODEM_SEED: {raw!r} is not an integer") from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -105,10 +141,7 @@ def load_config(path: str) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     cfg = _from_dict(RunConfig, payload, "")
-    env_seed = os.environ.get("MODEM_SEED")
-    if env_seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env_seed))
-    return cfg
+    return dataclasses.replace(cfg, seed=env_seed(cfg.seed))
 
 
 def config_from_dict(payload: dict) -> RunConfig:

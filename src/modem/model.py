@@ -4,6 +4,7 @@ checkpoint serialization."""
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 import tempfile
@@ -193,8 +194,10 @@ class RestorationModel(Module):
     """DDEM + backbone pair trained together."""
 
     def __init__(self, ddem_cfg: DDEMConfig, backbone_cfg: BackboneConfig,
-                 seed: int = 0):
-        rng = np.random.default_rng(seed)
+                 seed: int | None = 0):
+        # seed None draws no random numbers: the weights start at zero, for
+        # a model whose weights are loaded next or only counted
+        rng = None if seed is None else np.random.default_rng(seed)
         self.ddem = DDEM(ddem_cfg, rng)
         self.backbone = Backbone(backbone_cfg, rng)
         self.ddem_cfg = ddem_cfg
@@ -244,30 +247,54 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], stage: int) -> No
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
+    """Read a checkpoint: (name -> float64 array, stage tag).
+
+    Header fields are read in small pieces, each declared size is checked
+    against the bytes left in the file before anything is allocated, and
+    each tensor's bytes go from the file into its own array with one
+    `readinto`. The arrays are new and the caller's to keep. A malformed
+    file (truncated, trailing bytes, stage tag not 1 or 2, duplicate or
+    non-UTF-8 name, non-finite value) raises CheckpointFormatError.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
-    view = io.BytesIO(blob)
+        size = os.fstat(f.fileno()).st_size
 
-    def read(n: int) -> bytes:
-        chunk = view.read(n)
-        if len(chunk) != n:
-            raise CheckpointFormatError("truncated checkpoint file")
-        return chunk
+        def read(n: int) -> bytes:
+            chunk = f.read(n)
+            if len(chunk) != n:
+                raise CheckpointFormatError("truncated checkpoint file")
+            return chunk
 
-    if read(4) != MAGIC:
-        raise CheckpointFormatError("bad magic; not a checkpoint file")
-    version, count, stage = struct.unpack("<II B", read(9))
-    if version != VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", read(2))
-        name = read(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<B", read(1))
-        shape = struct.unpack(f"<{rank}Q", read(8 * rank)) if rank else ()
-        n_elem = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(read(8 * n_elem), dtype="<f8").reshape(shape)
-        tensors[name] = data.astype(np.float64)
-    if view.read(1):
-        raise CheckpointFormatError("trailing bytes after last tensor")
+        if read(4) != MAGIC:
+            raise CheckpointFormatError("bad magic; not a checkpoint file")
+        version, count, stage = struct.unpack("<II B", read(9))
+        if version != VERSION:
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        if stage not in (1, 2):
+            raise CheckpointFormatError(f"stage tag {stage} is not 1 or 2")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", read(2))
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointFormatError("tensor name is not UTF-8") from None
+            if name in tensors:
+                raise CheckpointFormatError(f"duplicate tensor name {name!r}")
+            (rank,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank))
+            n_bytes = 8 * math.prod(shape)
+            left = size - f.tell()
+            if n_bytes > left:
+                raise CheckpointFormatError(
+                    f"tensor {name!r} (rank {rank}) declares more data than "
+                    f"the {left} bytes left in the file")
+            data = np.empty(shape, dtype="<f8")
+            if f.readinto(data.reshape(-1).view(np.uint8)) != n_bytes:
+                raise CheckpointFormatError("truncated checkpoint file")
+            if not np.isfinite(data).all():
+                raise CheckpointFormatError(f"tensor {name!r} has non-finite values")
+            tensors[name] = data if data.dtype.isnative else data.astype(np.float64)
+        if f.read(1):
+            raise CheckpointFormatError("trailing bytes after last tensor")
     return tensors, stage

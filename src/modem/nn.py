@@ -36,6 +36,13 @@ class Module:
         return sum(p.size for p in self.parameters().values())
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Set every parameter from `state`, which must hold exactly the
+        parameter names, each with its parameter's shape.
+
+        C-contiguous, writeable float64 arrays are adopted as they are: the
+        model takes ownership of them, and the caller must not write to them
+        afterwards. Any other array is copied as float64.
+        """
         params = self.parameters()
         missing = sorted(set(params) - set(state))
         extra = sorted(set(state) - set(params))
@@ -48,7 +55,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {p.data.shape} vs {state[name].shape}"
                 )
-            p.data = state[name].astype(np.float64).copy()
+            p.data = np.require(state[name], np.float64, ("C", "W"))
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.parameters().items()}
@@ -62,9 +69,13 @@ def param(data: np.ndarray) -> Tensor:
 
 
 class Linear(Module):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
+    """y = x W^T + b with W ~ U(-1/sqrt(n_in), 1/sqrt(n_in)) and b = 0;
+    with rng None (as with zero_init) W starts at zero and nothing is
+    drawn, for weights that are loaded next."""
+
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None,
                  bias: bool = True, zero_init: bool = False):
-        if zero_init:
+        if zero_init or rng is None:
             w = np.zeros((n_out, n_in))
         else:
             bound = 1.0 / np.sqrt(n_in)
@@ -80,9 +91,13 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, bias: bool = True, zero_init: bool = False):
-        if zero_init:
+    """k x k convolution initialised like Linear over c_in*k*k inputs; rng
+    None draws nothing."""
+
+    def __init__(self, c_in: int, c_out: int, k: int,
+                 rng: np.random.Generator | None, stride: int = 1,
+                 bias: bool = True, zero_init: bool = False):
+        if zero_init or rng is None:
             w = np.zeros((c_out, c_in, k, k))
         else:
             bound = 1.0 / np.sqrt(c_in * k * k)

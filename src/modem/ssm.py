@@ -84,8 +84,12 @@ def zoh_discretize(A: np.ndarray, delta: np.ndarray, B: np.ndarray) -> DiscreteS
 # tokens with at most CHUNKED_MAX_DN channels x states. It does about twice
 # the arithmetic of the plain loop and pays off only while each step is
 # small enough for the interpreter, not the arithmetic, to set its cost.
+# The cut is timed on the token-major layout MOS2D hands the kernel
+# (strides (N, d*N, 1), forward and reversed), where a plain-loop step is
+# one contiguous run of d*N values: at L = 4096 the two forms tie near
+# d*N = 112 with N = 4 and near 140 with N = 8.
 CHUNKED_MIN_LEN = 64
-CHUNKED_MAX_DN = 320
+CHUNKED_MAX_DN = 112
 
 
 def _chunk_len(d_n: int, L: int) -> int:

@@ -50,9 +50,20 @@ def _ddem_config(cfg: RunConfig, in_channels: int) -> DDEMConfig:
     )
 
 
-def build_model(cfg: RunConfig, stage: int) -> RestorationModel:
+def build_model(cfg: RunConfig, stage: int,
+                state: dict[str, np.ndarray] | None = None,
+                draw: bool = True) -> RestorationModel:
+    """The stage's model. With `state`, its weights are those arrays, which
+    `load_state` adopts after checking every name and shape, and no random
+    number is drawn. Otherwise they are drawn from default_rng(cfg.seed),
+    or, with draw=False, left at zero for a model that is only counted or
+    filled by the caller."""
     in_ch = 6 if stage == 1 else 3
-    return RestorationModel(_ddem_config(cfg, in_ch), cfg.backbone, seed=cfg.seed)
+    seed = cfg.seed if draw and state is None else None
+    model = RestorationModel(_ddem_config(cfg, in_ch), cfg.backbone, seed=seed)
+    if state is not None:
+        model.load_state(state)
+    return model
 
 
 def _fmt(v: float) -> str:
@@ -185,12 +196,14 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str) -> TrainResult:
     if stage != 1:
         raise ValueError(f"expected a stage-1 checkpoint, got stage tag {stage}")
 
-    teacher = DDEM(_ddem_config(cfg, 6), np.random.default_rng(cfg.seed))
+    # neither model draws an initialisation: both are filled from the
+    # checkpoint, the teacher adopting its arrays, the student copying them
+    teacher = DDEM(_ddem_config(cfg, 6), None)
     teacher.load_state({k[len("ddem."):]: v for k, v in tensors.items()
                         if k.startswith("ddem.")})
     teacher_snapshot = {k: v.data.copy() for k, v in teacher.parameters().items()}
 
-    student = build_model(cfg, stage=2)
+    student = build_model(cfg, stage=2, draw=False)
     _inherit_stage1(student, tensors)
 
     train_set, heldout = _datasets(cfg)

@@ -157,6 +157,33 @@ class TestMOS2D:
         cond = toy_cond(np.random.default_rng(4), toy_cfg())
         assert not np.allclose(uni(feat, cond).data, bi(feat, cond).data)
 
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_scan_hands_the_kernel_token_major_arrays(self, rng, monkeypatch,
+                                                      bidirectional):
+        # ssm.CHUNKED_MAX_DN was timed on this layout: a (d, L, N) view with
+        # strides (N, +-d*N, 1) elements, forward and reversed
+        from modem import ssm
+        seen = []
+        kernel = ssm._linear_recurrence
+
+        def spy(a, h, T):
+            seen.append((h.shape, h.strides, a.strides))
+            return kernel(a, h, T)
+
+        monkeypatch.setattr(ssm, "_linear_recurrence", spy)
+        cfg = toy_cfg(bidirectional=bidirectional)
+        block = MOS2D(cfg, rng)
+        feat = Tensor(rng.normal(size=(4, 8, 8)), requires_grad=True)
+        (block(feat, toy_cond(rng, cfg)) ** 2).sum().backward()
+        assert len(seen) == (4 if bidirectional else 2)
+        directions = set()
+        for (d, L, N), h_strides, a_strides in seen:
+            assert (d, L, N) == (cfg.d_inner, 64, cfg.d_state)
+            for sd, sl, sn in (h_strides, a_strides):
+                assert (sd, abs(sl), sn) == (8 * N, 8 * d * N, 8)
+            directions.add(h_strides[1] > 0)
+        assert directions == {True, False}
+
     def test_decompose_identity(self, rng):
         cfg = toy_cfg()
         block = MOS2D(cfg, rng)

@@ -72,6 +72,25 @@ class TestTrain:
         assert "data.patch" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "run"))
 
+    def test_string_iterations_usage_error(self, tmp_path, capsys):
+        payload = toy_run_config(str(tmp_path / "run"))
+        payload["train"]["iterations"] = "2"
+        assert main(["train", "--stage", "1",
+                     "--config", write_cfg(tmp_path, payload)]) == 2
+        assert "train.iterations" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "run"))
+
+    def test_non_integer_seed_usage_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setenv("MODEM_SEED", "abc")
+        payload = toy_run_config(str(tmp_path / "run"))
+        cfg_path = write_cfg(tmp_path, payload)
+        for argv in (["train", "--stage", "1", "--config", cfg_path],
+                     ["params", "--config", cfg_path],
+                     ["gradcheck"]):
+            assert main(argv) == 2
+            assert "MODEM_SEED" in capsys.readouterr().err
+
     def test_stage2_requires_from(self, tmp_path):
         payload = toy_run_config(str(tmp_path / "run"))
         assert main(["train", "--stage", "2",
@@ -152,6 +171,52 @@ class TestRestore:
         assert "psnr_out:" in text and "ssim_out:" not in text
         assert read_ppm(out).shape == (3, 5, 7)
 
+    def test_same_bytes_as_drawn_model_then_load_state(self, trained,
+                                                       tmp_path):
+        # the restore builds its model straight from the checkpoint; the
+        # output equals that of a randomly initialised model overwritten
+        # with copies of the checkpoint's weights
+        from modem.config import load_config
+        from modem.model import load_checkpoint
+        from modem.tensor import Tensor, no_grad
+        from modem.train import build_model
+        _, cfg_path, _, stage2 = trained
+        lq, _ = make_ppm_pair(tmp_path)
+        out = str(tmp_path / "restored.ppm")
+        assert main(["restore", "--checkpoint", stage2, "--config", cfg_path,
+                     "--in", lq, "--out", out]) == 0
+        tensors, stage = load_checkpoint(stage2)
+        model = build_model(load_config(cfg_path), stage=stage)
+        model.load_state({k: v.copy() for k, v in tensors.items()})
+        with no_grad():
+            restored, _ = model(Tensor(read_ppm(lq)), Tensor(read_ppm(lq)))
+        want = str(tmp_path / "want.ppm")
+        write_ppm(want, np.clip(restored.data, 0.0, 1.0))
+        assert open(out, "rb").read() == open(want, "rb").read()
+
+    @pytest.mark.parametrize("damage", ["stage", "nan", "huge"])
+    def test_malformed_checkpoint_usage_error(self, trained, tmp_path,
+                                              damage, capsys):
+        import struct
+        _, cfg_path, _, stage2 = trained
+        blob = bytearray(open(stage2, "rb").read())
+        if damage == "stage":
+            blob[12] = 7
+        elif damage == "nan":
+            blob[-8:] = struct.pack("<d", float("nan"))
+        else:   # first tensor: rank after magic, header and name
+            name_len = struct.unpack_from("<H", blob, 13)[0]
+            rank_at = 15 + name_len
+            struct.pack_into("<Q", blob, rank_at + 1, 2 ** 40)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        lq, _ = make_ppm_pair(tmp_path)
+        out = str(tmp_path / "o.ppm")
+        assert main(["restore", "--checkpoint", str(bad), "--config",
+                     cfg_path, "--in", lq, "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_checkpoint_usage_error(self, trained, tmp_path):
         _, cfg_path, _, _ = trained
         lq, _ = make_ppm_pair(tmp_path)
@@ -180,6 +245,21 @@ class TestParams:
         text = capsys.readouterr().out
         assert "ddem:" in text and "backbone:" in text
         assert "delta_vs_reference:" in text
+
+    def test_paper_default_counts(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, {})
+        assert main(["params", "--config", cfg_path]) == 0
+        text = capsys.readouterr().out
+        assert "ddem: 717344\n" in text
+        assert "backbone: 24211332\n" in text
+        assert "total: 24928676\n" in text
+        assert "delta_vs_reference: +4968676\n" in text
+
+    def test_unknown_scan_kind_usage_error(self, tmp_path, capsys):
+        payload = toy_run_config(str(tmp_path / "run"))
+        payload["backbone"]["scan_kind"] = "zigzag"
+        assert main(["params", "--config", write_cfg(tmp_path, payload)]) == 2
+        assert "backbone.scan_kind" in capsys.readouterr().err
 
     def test_count_invariant_to_seed(self, trained, tmp_path, capsys,
                                      monkeypatch):

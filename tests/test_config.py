@@ -65,6 +65,53 @@ class TestStrictParsing:
         assert cfg.data.kinds == ("haze",)
 
 
+class TestTypes:
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("train", "iterations", "2", r"train\.iterations"),
+        ("train", "iterations", 2.0, r"train\.iterations"),
+        ("train", "iterations", True, r"train\.iterations"),
+        ("train", "base_lr", "3e-4", r"train\.base_lr"),
+        ("train", "freeze_backbone", 1, r"train\.freeze_backbone"),
+        ("train", "periods", 10, r"train\.periods"),
+        ("train", "periods", [10, "5"], r"train\.periods\[1\]"),
+        ("train", "betas", [0.9], r"train\.betas"),
+        ("data", "severity", [0.4, 0.5, 0.6], r"data\.severity"),
+        ("data", "kinds", ["haze", "fog"], r"data\.kinds"),
+        ("ddem", "scan_kind", "zigzag", r"ddem\.scan_kind"),
+        ("backbone", "scan_kind", "zigzag", r"backbone\.scan_kind"),
+        ("backbone", "group_depths", [1, 1], r"backbone"),
+        ("backbone", "base_channels", None, r"backbone\.base_channels"),
+    ])
+    def test_wrong_type_or_value_names_the_key(self, section, key, value,
+                                               path):
+        payload = toy_run_config("out")
+        payload[section][key] = value
+        with pytest.raises(ConfigError, match=path):
+            config_from_dict(payload)
+
+    def test_wrong_top_level_types(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({"seed": "3"})
+        with pytest.raises(ConfigError, match="output_dir"):
+            config_from_dict({"output_dir": 5})
+        with pytest.raises(ConfigError, match="train"):
+            config_from_dict({"train": [1]})
+
+    def test_int_accepted_where_a_float_is_expected(self):
+        payload = toy_run_config("out")
+        payload["train"]["base_lr"] = 1
+        payload["data"]["severity"] = [0, 1]
+        cfg = config_from_dict(payload)
+        assert cfg.train.base_lr == 1 and cfg.data.severity == (0, 1)
+
+    def test_every_scan_kind_accepted(self):
+        from modem.scan_orders import SCAN_KINDS
+        for kind in SCAN_KINDS:
+            payload = toy_run_config("out")
+            payload["backbone"]["scan_kind"] = kind
+            assert config_from_dict(payload).backbone.scan_kind == kind
+
+
 class TestSeedOverride:
     def test_env_var_wins(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, toy_run_config("out", seed=1))
@@ -75,3 +122,9 @@ class TestSeedOverride:
         monkeypatch.delenv("MODEM_SEED", raising=False)
         path = write_cfg(tmp_path, toy_run_config("out", seed=7))
         assert load_config(path).seed == 7
+
+    def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch):
+        path = write_cfg(tmp_path, toy_run_config("out"))
+        monkeypatch.setenv("MODEM_SEED", "abc")
+        with pytest.raises(ConfigError, match="MODEM_SEED"):
+            load_config(path)

@@ -1,7 +1,13 @@
 """Estimation network, backbone, and checkpoint serialization."""
 
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modem.model import (Backbone, BackboneConfig, CheckpointFormatError,
                          DDEM, DDEMConfig, RestorationModel, load_checkpoint,
@@ -181,3 +187,144 @@ class TestCheckpoint:
         a, _ = model(lq, pair)
         b, _ = other(lq, pair)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_load_state_adopts_float64_arrays(self):
+        model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+        state = model.state()
+        model.load_state(state)
+        for name, p in model.parameters().items():
+            assert p.data is state[name]
+
+    def test_load_state_copies_other_arrays(self):
+        model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+        state = model.state()
+        state["backbone.embed.weight"].flags.writeable = False
+        state["backbone.embed.bias"] = state["backbone.embed.bias"].astype(np.float32)
+        state["ddem.stem.bias"] = np.repeat(state["ddem.stem.bias"], 2)[::2]
+        model.load_state(state)
+        params = model.parameters()
+        for name in ("backbone.embed.weight", "backbone.embed.bias",
+                     "ddem.stem.bias"):
+            data = params[name].data
+            assert data is not state[name]
+            assert data.dtype == np.float64 and data.flags.c_contiguous
+            assert data.flags.writeable
+            np.testing.assert_array_equal(data, state[name])
+
+
+def tiny_state():
+    model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+    return model.state()
+
+
+def raw_checkpoint(stage, entries):
+    """Checkpoint bytes from (name bytes, shape, float64 values) entries,
+    with no checks, so that malformed files can be written."""
+    out = [b"MODM", struct.pack("<II B", 1, len(entries), stage)]
+    for name, shape, values in entries:
+        out.append(struct.pack("<H", len(name)) + name)
+        out.append(struct.pack(f"<B{len(shape)}Q", len(shape), *shape))
+        out.append(np.asarray(values, "<f8").tobytes())
+    return b"".join(out)
+
+
+class TestCheckpointHardening:
+    @pytest.mark.parametrize("stage", [0, 3, 255])
+    def test_stage_tag_outside_1_2_rejected(self, tmp_path, stage):
+        path = tmp_path / "s.ckpt"
+        path.write_bytes(raw_checkpoint(stage, [(b"w", (2,), [1.0, 2.0])]))
+        with pytest.raises(CheckpointFormatError, match="stage"):
+            load_checkpoint(str(path))
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "d.ckpt"
+        path.write_bytes(raw_checkpoint(2, [(b"w", (1,), [1.0]),
+                                            (b"w", (1,), [2.0])]))
+        with pytest.raises(CheckpointFormatError, match="duplicate"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("shape", [(2 ** 40,), (2 ** 20, 2 ** 20),
+                                       (2 ** 63,) * 255, (2 ** 64 - 1, 2)])
+    def test_declared_size_beyond_file_rejected(self, tmp_path, shape):
+        # no allocation happens: a MemoryError would fail this test
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(raw_checkpoint(2, [(b"w", shape, [0.0] * 4)]))
+        with pytest.raises(CheckpointFormatError, match="bytes"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = str(tmp_path / "nf.ckpt")
+        save_checkpoint(path, {"ok": np.ones(3), "w": np.array([0.0, bad])},
+                        stage=2)
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        path.write_bytes(raw_checkpoint(1, [(b"\xff\xfe", (1,), [1.0])]))
+        with pytest.raises(CheckpointFormatError, match="UTF-8"):
+            load_checkpoint(str(path))
+
+    def test_empty_tensor_roundtrip(self, tmp_path):
+        path = str(tmp_path / "e.ckpt")
+        save_checkpoint(path, {"empty": np.zeros((0, 3)), "w": np.ones(2)},
+                        stage=1)
+        loaded, _ = load_checkpoint(path)
+        assert loaded["empty"].shape == (0, 3)
+        assert loaded["w"].tobytes() == np.ones(2).tobytes()
+
+    def test_loaded_arrays_are_writeable_float64(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, tiny_state(), stage=1)
+        loaded, _ = load_checkpoint(path)
+        for v in loaded.values():
+            assert v.dtype == np.float64
+            assert v.flags.c_contiguous and v.flags.writeable and v.flags.owndata
+
+    def test_save_is_byte_identical_to_the_format(self, tmp_path):
+        # the writer's bytes are exactly the documented layout
+        tensors = {"a": np.arange(6.0).reshape(2, 3), "s": np.array([1.5])}
+        path = str(tmp_path / "f.ckpt")
+        save_checkpoint(path, tensors, stage=2)
+        want = raw_checkpoint(2, [(b"a", (2, 3), np.arange(6.0)),
+                                  (b"s", (1,), [1.5])])
+        assert open(path, "rb").read() == want
+
+    def test_load_peak_memory_within_file_size(self, tmp_path):
+        path = str(tmp_path / "toy.ckpt")
+        save_checkpoint(path, tiny_state(), stage=1)
+        size = os.path.getsize(path)
+        load_checkpoint(path)                   # warm imports and caches
+        tracemalloc.start()
+        try:
+            tensors, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(v.nbytes for v in tensors.values()) < size
+        assert peak <= size + 64 * 1024
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_files_load_or_raise_format_error(self, tmp_path_factory,
+                                                     data):
+        blob = bytearray(raw_checkpoint(2, [
+            (b"a.weight", (2, 3), np.linspace(-1.0, 1.0, 6)),
+            (b"b", (), [0.5]),
+            (b"c.bias", (4,), [1.0, 2.0, 3.0, 4.0])]))
+        cut = data.draw(st.integers(0, len(blob)), label="keep")
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)),
+                                   max_size=4), label="flips")
+        for pos, mask in flips:
+            blob[pos] ^= mask
+        path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            tensors, stage = load_checkpoint(str(path))
+        except CheckpointFormatError:
+            return
+        assert stage in (1, 2)
+        for v in tensors.values():
+            assert v.dtype == np.float64 and np.isfinite(v).all()

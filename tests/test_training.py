@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_run_config
-from modem.config import config_from_dict
+from modem.config import RunConfig, config_from_dict
 from modem.model import load_checkpoint
 from modem.optim import AdamW, CosineRestartSchedule
 from modem.tensor import Tensor
@@ -169,3 +169,59 @@ class TestStage2:
         save_checkpoint(bad, tensors, stage=2)
         with pytest.raises(ValueError):
             train_stage2(cfg1, bad)
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("stage, ddem, backbone", [
+        (1, 719_936, 24_211_332),
+        (2, 717_344, 24_211_332),
+    ])
+    def test_paper_default_parameter_counts(self, stage, ddem, backbone):
+        model = build_model(RunConfig(), stage=stage, draw=False)
+        assert model.ddem.num_parameters() == ddem
+        assert model.backbone.num_parameters() == backbone
+        if stage == 2:
+            assert model.num_parameters() == 24_928_676
+
+    def test_undrawn_builds_draw_no_random_numbers(self, stage1_result,
+                                                   monkeypatch):
+        cfg, r = stage1_result
+        tensors, stage = load_checkpoint(r.checkpoint_path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a random initialisation was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        build_model(RunConfig(), stage=2, draw=False)
+        model = build_model(cfg, stage=stage, state=tensors)
+        for name, p in model.parameters().items():
+            assert p.data is tensors[name]
+
+    def test_state_build_equals_drawn_build_then_load(self, stage1_result):
+        cfg, r = stage1_result
+        tensors, stage = load_checkpoint(r.checkpoint_path)
+        drawn = build_model(cfg, stage=stage)
+        drawn.load_state({k: v.copy() for k, v in tensors.items()})
+        loaded = build_model(cfg, stage=stage, state=tensors)
+        x = Tensor(np.random.default_rng(1).uniform(size=(3, 12, 20)))
+        pair = Tensor(np.random.default_rng(2).uniform(size=(6, 12, 20)))
+        a, _ = drawn(x, pair)
+        b, _ = loaded(x, pair)
+        assert a.data.tobytes() == b.data.tobytes()
+
+    def test_state_with_missing_or_extra_names_rejected(self, stage1_result):
+        cfg, r = stage1_result
+        tensors, stage = load_checkpoint(r.checkpoint_path)
+        extra = dict(tensors, **{"bogus.weight": np.zeros(3)})
+        with pytest.raises(KeyError, match="bogus"):
+            build_model(cfg, stage=stage, state=extra)
+        missing = dict(tensors)
+        del missing["backbone.out_conv.bias"]
+        with pytest.raises(KeyError, match="out_conv"):
+            build_model(cfg, stage=stage, state=missing)
+
+    def test_state_of_the_other_stage_rejected(self, stage1_result):
+        cfg, r = stage1_result
+        tensors, _ = load_checkpoint(r.checkpoint_path)
+        with pytest.raises(ValueError, match="ddem.stem.weight"):
+            build_model(cfg, stage=2, state=tensors)
