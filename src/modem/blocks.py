@@ -16,11 +16,10 @@ from .tensor import ContractError, Tensor, no_grad
 _PERM_CACHE: dict[tuple[int, int, str], ScanPermutation] = {}
 
 
-def cached_order(height: int, width: int, kind: str,
-                 window: int = 8) -> ScanPermutation:
-    key = (height, width, kind if kind != "local" else f"local{window}")
+def cached_order(height: int, width: int, kind: str) -> ScanPermutation:
+    key = (height, width, kind)
     if key not in _PERM_CACHE:
-        _PERM_CACHE[key] = build_order(height, width, kind, window=window)
+        _PERM_CACHE[key] = build_order(height, width, kind)
     return _PERM_CACHE[key]
 
 
@@ -45,7 +44,6 @@ class MOS2DConfig:
     c_d1: int = 48
     c_d2: int = 48
     bidirectional: bool = False
-    local_window: int = 8
 
     def __post_init__(self):
         if self.d_inner == 0:
@@ -70,8 +68,8 @@ class DAFMAdapter(Module):
     initialization.
     """
 
-    def __init__(self, c_d: int, channels: int, rng: np.random.Generator):
-        self.proj = Linear(c_d, 2 * channels, rng, zero_init=True)
+    def __init__(self, c_d: int, channels: int):
+        self.proj = Linear(c_d, 2 * channels, None)
         self.proj.bias.data[:channels] = 1.0
         self.channels = channels
 
@@ -172,8 +170,10 @@ class MOS2D(Module):
         a = -self.a_log.exp()
         return selective_scan_op(xs.T, delta.T, a, b, c, self.skip_gain).T
 
-    def forward(self, feat: Tensor,
-                cond: LevelConditioning | None = None) -> Tensor:
+    def _prescan(self, feat: Tensor, cond: LevelConditioning | None):
+        """Everything before the scan: (xs, z, delta, b, c, perm) with the
+        scan input xs and its parameters in scan order and the gate z in
+        raster order."""
         cfg = self.cfg
         if cfg.conditioned and cond is None:
             raise ContractError("conditioned MOS2D requires level conditioning")
@@ -186,23 +186,27 @@ class MOS2D(Module):
         z = xz.slice_axis(1, cfg.d_inner, 2 * cfg.d_inner)
         if cfg.conditioned:
             x = x * cond.scale + cond.bias                # broadcast over tokens
-        perm = cached_order(H, W, cfg.scan_kind, window=cfg.local_window)
+        perm = cached_order(H, W, cfg.scan_kind)
         xs = x.take(perm.forward, axis=0)                 # scan order
         if cfg.conditioned:
             f_dsam = cond.dsam.apply(xs, cond.attention)
         else:
             f_dsam = self.x_proj(xs)
         delta, b, c = self.head(f_dsam)
+        return xs, z, delta, b, c, perm
+
+    def forward(self, feat: Tensor,
+                cond: LevelConditioning | None = None) -> Tensor:
+        xs, z, delta, b, c, perm = self._prescan(feat, cond)
         ys = self._scan(xs, delta, b, c)
-        if cfg.bidirectional:
+        if self.cfg.bidirectional:
             rev = np.arange(len(perm) - 1, -1, -1)
             ys = ys + self._scan(xs.take(rev, axis=0), delta.take(rev, axis=0),
                                  b.take(rev, axis=0), c.take(rev, axis=0)
                                  ).take(rev, axis=0)
         y = ys.take(perm.inverse, axis=0)                 # back to raster order
         out = self.out_proj(y * z.silu())
-        return out.T.reshape(C, H, W)
-
+        return out.T.reshape(feat.shape)
 
     def decompose(self, feat: Tensor,
                   cond: LevelConditioning | None = None):
@@ -210,21 +214,9 @@ class MOS2D(Module):
         averaged over inner channels, plus the max reconstruction deviation
         |longrange + local + skip - y| (zero by construction).
         """
-        cfg = self.cfg
-        C, H, W = feat.shape
+        _, H, W = feat.shape
         with no_grad():
-            tokens = feat.reshape(C, H * W).T
-            xz = self.in_proj(tokens)
-            x = xz.slice_axis(1, 0, cfg.d_inner)
-            if cfg.conditioned:
-                x = x * cond.scale + cond.bias
-            perm = cached_order(H, W, cfg.scan_kind, window=cfg.local_window)
-            xs = x.take(perm.forward, axis=0)
-            if cfg.conditioned:
-                f_dsam = cond.dsam.apply(xs, cond.attention)
-            else:
-                f_dsam = self.x_proj(xs)
-            delta, b, c = self.head(f_dsam)
+            xs, _, delta, b, c, perm = self._prescan(feat, cond)
             a = -np.exp(self.a_log.data)
             disc = zoh_discretize(a, delta.data.T, b.data)
             y, _, longrange, local = scan_terms(xs.data.T, disc, c.data,

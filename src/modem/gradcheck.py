@@ -66,7 +66,7 @@ def _toy_priors(rng: np.random.Generator, cfg: MOS2DConfig) -> DegradationPriors
 
 def check_dafm(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
-    adapter = DAFMAdapter(5, 4, rng)
+    adapter = DAFMAdapter(5, 4)
     # move off the zero init so the weight gradient is exercised
     adapter.proj.weight.data = rng.normal(scale=0.3, size=adapter.proj.weight.shape)
     feat = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
@@ -109,7 +109,7 @@ def check_s6_head(seed: int = 0) -> float:
 
 def _toy_conditioning(rng, cfg):
     """Adapter + shared attention module + priors for conditioned blocks."""
-    adapter = DAFMAdapter(cfg.c_d, cfg.d_inner, rng)
+    adapter = DAFMAdapter(cfg.c_d, cfg.d_inner)
     adapter.proj.weight.data = rng.normal(scale=0.2, size=adapter.proj.weight.shape)
     dsam = DSAM(cfg.d_inner, cfg.d_attn, cfg.c_d1, cfg.c_d2, rng)
     priors = _toy_priors(rng, cfg)

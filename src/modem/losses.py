@@ -2,20 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class LossReport:
-    l1: float
-    l_cor: float
-    l_kl: float | None
-    total: float
-    cor_fallback: bool = False  # a zero-variance image hit the rho=0 fallback
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -3,11 +3,9 @@ checkpoint serialization."""
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +13,7 @@ import numpy as np
 from . import ops
 from .blocks import (DSAM, MDSL, DAFMAdapter, DegradationPriors,
                      LevelConditioning, MOS2DConfig)
+from .fileio import atomic_write_bytes
 from .nn import Conv2d, Linear, Module
 from .tensor import ContractError, Tensor
 
@@ -120,7 +119,7 @@ class Backbone(Module):
         self.dsam_mods = []
         for i in range(lv):
             bc = block_cfg(chans[i])
-            self.dafm_adapters.append(DAFMAdapter(cfg.c_d, bc.d_inner, rng))
+            self.dafm_adapters.append(DAFMAdapter(cfg.c_d, bc.d_inner))
             self.dsam_mods.append(
                 DSAM(bc.d_inner, bc.d_attn, cfg.c_d1, cfg.c_d2, rng))
 
@@ -150,8 +149,9 @@ class Backbone(Module):
         self.refine = [
             MDSL(block_cfg(chans[0]), rng) for _ in range(cfg.refinement_depth)
         ]
-        # Zero output conv: the network is the identity map at initialization.
-        self.out_conv = Conv2d(chans[0], 3, 3, rng, zero_init=True)
+        # Zero output conv (rng None draws nothing): the network is the
+        # identity map at initialization.
+        self.out_conv = Conv2d(chans[0], 3, 3, None)
 
     def forward(self, image: Tensor, priors: DegradationPriors) -> Tensor:
         if priors is None:
@@ -222,28 +222,19 @@ class CheckpointFormatError(ValueError):
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], stage: int) -> None:
-    """Atomic write (temp + rename); load(save(x)) is bit-exact."""
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<II B", VERSION, len(tensors), stage))
+    """Atomic write (temp + rename, creating the directory); load(save(x))
+    is bit-exact, shapes included.
+
+    Each array goes into the payload through its buffer, so the payload is
+    the only copy of the data made (0-d arrays stay 0-d)."""
+    parts = [MAGIC, struct.pack("<II B", VERSION, len(tensors), stage)]
     for name, arr in tensors.items():
-        data = np.ascontiguousarray(arr, dtype="<f8")
+        data = np.require(arr, "<f8", "C")
         raw_name = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(raw_name)))
-        buf.write(raw_name)
-        buf.write(struct.pack("<B", data.ndim))
-        buf.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-        buf.write(data.tobytes())
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        parts += [struct.pack("<H", len(raw_name)), raw_name,
+                  struct.pack("<B", data.ndim),
+                  struct.pack(f"<{data.ndim}Q", *data.shape), data]
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:

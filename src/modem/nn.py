@@ -70,12 +70,12 @@ def param(data: np.ndarray) -> Tensor:
 
 class Linear(Module):
     """y = x W^T + b with W ~ U(-1/sqrt(n_in), 1/sqrt(n_in)) and b = 0;
-    with rng None (as with zero_init) W starts at zero and nothing is
-    drawn, for weights that are loaded next."""
+    with rng None W starts at zero and nothing is drawn, for weights that
+    are zero at initialization or loaded next."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None,
-                 bias: bool = True, zero_init: bool = False):
-        if zero_init or rng is None:
+                 bias: bool = True):
+        if rng is None:
             w = np.zeros((n_out, n_in))
         else:
             bound = 1.0 / np.sqrt(n_in)
@@ -95,19 +95,17 @@ class Conv2d(Module):
     None draws nothing."""
 
     def __init__(self, c_in: int, c_out: int, k: int,
-                 rng: np.random.Generator | None, stride: int = 1,
-                 bias: bool = True, zero_init: bool = False):
-        if zero_init or rng is None:
+                 rng: np.random.Generator | None, bias: bool = True):
+        if rng is None:
             w = np.zeros((c_out, c_in, k, k))
         else:
             bound = 1.0 / np.sqrt(c_in * k * k)
             w = rng.uniform(-bound, bound, size=(c_out, c_in, k, k))
         self.weight = param(w)
         self.bias = param(np.zeros(c_out)) if bias else None
-        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.weight, self.bias, stride=self.stride)
+        return ops.conv2d(x, self.weight, self.bias)
 
 
 class LayerNorm2d(Module):

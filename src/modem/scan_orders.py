@@ -12,7 +12,6 @@ the remaining cells is unchanged.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,7 +198,6 @@ def build_order(height: int, width: int, kind: str,
 
 
 def _morton_order(height: int, width: int) -> np.ndarray:
-    side = 1 << max(height - 1, width - 1, 1).bit_length()
     if height == width and height & (height - 1) == 0:
         # Power-of-two square: the code itself is the sequence position.
         codes = np.arange(height * width, dtype=np.uint64)
@@ -277,23 +275,3 @@ def block_contiguity_depth(perm: ScanPermutation) -> int:
             break
     return depth
 
-
-def bench_orders(sizes: list[tuple[int, int]],
-                 kinds: tuple[str, ...] = SCAN_KINDS,
-                 repeats: int = 5) -> list[dict]:
-    """Median-of-`repeats` wall-clock build time per (size, kind)."""
-    rows = []
-    for H, W in sizes:
-        for kind in kinds:
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                build_order(H, W, kind)
-                times.append(time.perf_counter() - t0)
-            rows.append({
-                "height": H,
-                "width": W,
-                "kind": kind,
-                "build_seconds": float(np.median(times)),
-            })
-    return rows

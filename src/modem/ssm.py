@@ -11,14 +11,13 @@ The scan is one autodiff primitive: the forward recurrence stores the state
 trajectory and the backward rule is derived by hand (verified against finite
 differences in the tests).
 
-Without numba, both directions run one in-place linear recurrence,
+Both directions run one in-place linear recurrence,
 h[:, k] += a[:, k-1] * h[:, k-1]: the forward pass on the states with
 a = Abar[:, 1:], the backward pass on the state gradients over reversed
 views with a = Abar shifted by one step. On long sequences with few
 channels x states it steps chunks of the sequence together (about
 2 sqrt(3L) numpy steps instead of L, see `_linear_recurrence`); elsewhere
-it steps one token at a time. With numba, compiled sequential kernels
-take the place of both directions behind the same two entry points.
+it steps one token at a time.
 """
 
 from __future__ import annotations
@@ -31,21 +30,6 @@ from .tensor import ShapeError, Tensor, is_recording
 
 # Below this |delta * A| the (exp(u) - 1)/A factor switches to its series.
 SERIES_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class SSMParams:
-    A: np.ndarray      # (d, N), all entries < 0
-    D: np.ndarray      # (d,)
-    delta: np.ndarray  # (d, L), all entries > 0
-    B: np.ndarray      # (L, N)
-    C: np.ndarray      # (L, N)
-
-    def __post_init__(self):
-        if np.any(self.A >= 0):
-            raise ValueError("A must be strictly negative")
-        if np.any(self.delta <= 0):
-            raise ValueError("delta must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,11 @@ def _linear_recurrence(a: np.ndarray, h: np.ndarray, T: int) -> None:
         h[:, k] += a[:, k - 1] * h[:, k - 1]
 
 
-def _scan_forward_np(x, Abar, Bbar, C, D):
+def _scan_forward(x, Abar, Bbar, C, D):
+    """Run the recurrence. Returns y, states h (d, L, N), and the long-range
+    / local output terms; y is formed as longrange + local + D*x, so that
+    sum reproduces it bit-for-bit. Bbar is a buffer the caller gives up:
+    it becomes the states in place."""
     d, L = x.shape
     states = Bbar
     states *= x[:, :, None]
@@ -161,7 +149,7 @@ def _scan_forward_np(x, Abar, Bbar, C, D):
     return y, states, longrange, local
 
 
-def _scan_backward_np(dy, x, C, Abar, Bbar, states):
+def _scan_backward(dy, x, C, Abar, Bbar, states):
     d, L = x.shape
     # dh[:, k] = dL/dh_k = dy_k C_k + Abar_{k+1} dh[:, k+1]: the forward
     # recurrence run over reversed views.
@@ -175,80 +163,6 @@ def _scan_backward_np(dy, x, C, Abar, Bbar, states):
     np.multiply(dh[:, 1:], states[:, :-1], out=dAbar[:, 1:])
     dBbar = dh * x[:, :, None]
     return dx, dC, dAbar, dBbar
-
-
-try:  # numba accelerates the sequential loops; the numpy path is the fallback
-    import numba
-
-    @numba.njit(cache=True)
-    def _scan_forward_jit(x, Abar, Bbar, C, D):  # pragma: no cover - jit
-        d, L = x.shape
-        N = Abar.shape[2]
-        h = np.zeros((d, N))
-        states = np.empty((d, L, N))
-        longrange = np.empty((d, L))
-        local = np.empty((d, L))
-        y = np.empty((d, L))
-        for k in range(L):
-            for di in range(d):
-                lr = 0.0
-                loc = 0.0
-                for n in range(N):
-                    ah = Abar[di, k, n] * h[di, n]
-                    bx = Bbar[di, k, n] * x[di, k]
-                    lr += C[k, n] * ah
-                    loc += C[k, n] * bx
-                    h[di, n] = ah + bx
-                    states[di, k, n] = h[di, n]
-                longrange[di, k] = lr
-                local[di, k] = loc
-                y[di, k] = lr + loc + D[di] * x[di, k]
-        return y, states, longrange, local
-
-    @numba.njit(cache=True)
-    def _scan_backward_jit(dy, x, C, Abar, Bbar, states):  # pragma: no cover
-        d, L = x.shape
-        N = Abar.shape[2]
-        dx = np.zeros_like(x)
-        dC = np.zeros_like(C)
-        dAbar = np.empty((d, L, N))
-        dBbar = np.empty((d, L, N))
-        dh = np.zeros((d, N))
-        for k in range(L - 1, -1, -1):
-            for di in range(d):
-                acc_x = 0.0
-                for n in range(N):
-                    dhv = dh[di, n] + dy[di, k] * C[k, n]
-                    dC[k, n] += dy[di, k] * states[di, k, n]
-                    h_prev = states[di, k - 1, n] if k > 0 else 0.0
-                    dAbar[di, k, n] = dhv * h_prev
-                    dBbar[di, k, n] = dhv * x[di, k]
-                    acc_x += dhv * Bbar[di, k, n]
-                    dh[di, n] = dhv * Abar[di, k, n]
-                dx[di, k] = acc_x
-        return dx, dC, dAbar, dBbar
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def _scan_forward(x, Abar, Bbar, C, D):
-    """Run the recurrence. Returns y, states h (d, L, N), and the long-range
-    / local output terms; y is formed as longrange + local + D*x, so that
-    sum reproduces it bit-for-bit. Bbar is a buffer the caller gives up:
-    the numpy kernel turns it into the states in place."""
-    if _HAVE_NUMBA:
-        return _scan_forward_jit(*[np.ascontiguousarray(a)
-                                   for a in (x, Abar, Bbar, C, D)])
-    return _scan_forward_np(x, Abar, Bbar, C, D)
-
-
-def _scan_backward_core(dy, x, C, Abar, Bbar, states):
-    if _HAVE_NUMBA:
-        return _scan_backward_jit(*[np.ascontiguousarray(a) for a in
-                                    (dy, x, C, Abar, Bbar, states)])
-    return _scan_backward_np(dy, x, C, Abar, Bbar, states)
 
 
 def scan_terms(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
@@ -267,28 +181,14 @@ def scan_terms(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
                          np.asarray(C, float), np.asarray(D, float))
 
 
-def selective_scan(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
-                   D: np.ndarray):
-    """Run the recurrence; returns (y, states)."""
-    y, states, _, _ = scan_terms(x, disc, C, D)
-    return y, states
-
-
-def decompose_output(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
-                     D: np.ndarray):
-    """Split the scan output into its long-range and local terms."""
-    _, _, longrange, local = scan_terms(x, disc, C, D)
-    return longrange, local
-
-
 def scan_backward(dy, x, delta, A, B, C, D, Abar, phi, states):
     """Gradients of the scan w.r.t. (x, delta, A, B, C, D).
 
     dy: (d, L) upstream gradient. Abar/phi are the saved ZOH factors and
     states the saved hidden trajectory.
     """
-    dx, dC, dAbar, dBbar = _scan_backward_core(dy, x, C, Abar,
-                                               phi * B[None, :, :], states)
+    dx, dC, dAbar, dBbar = _scan_backward(dy, x, C, Abar,
+                                          phi * B[None, :, :], states)
     dx += dy * D[:, None]
     dD = (dy * x).sum(axis=1)
 

@@ -81,14 +81,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(shape, requires_grad=False):
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad=False):
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def from_op(data: np.ndarray, parents, backward) -> "Tensor":
         out = Tensor(data)
         if is_recording(parents):
@@ -110,14 +102,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError("item() requires a scalar tensor")
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -286,24 +270,23 @@ class Tensor:
         return Tensor.from_op(data, (self,), backward)
 
     def reflect_pad2d(self, pad_h: int, pad_w: int):
-        """Reflect-pad the trailing two axes."""
+        """Reflect-pad the trailing two axes at the end, as np.pad does,
+        pads of any size included."""
         if pad_h == 0 and pad_w == 0:
             return self
-        width = [(0, 0)] * (self.ndim - 2) + [(0, pad_h), (0, pad_w)]
-        data = np.pad(self.data, width, mode="reflect")
         H, W = self.shape[-2], self.shape[-1]
+        # source row / column of every output row / column: the forward
+        # gathers them, the backward folds the padding back onto them
+        rows = np.pad(np.arange(H), (0, pad_h), mode="reflect")
+        cols = np.pad(np.arange(W), (0, pad_w), mode="reflect")
+        data = self.data[..., rows[:, None], cols]
 
         def backward(grad):
-            g = grad.copy()
-            if pad_h:
-                src = g[..., H:, :]
-                g[..., H - 1 - pad_h : H - 1, :] += src[..., ::-1, :]
-            g = g[..., :H, :]
-            if pad_w:
-                src = g[..., W:]
-                g[..., W - 1 - pad_w : W - 1] += src[..., ::-1]
-            g = g[..., :W]
-            return (g,)
+            g = grad[..., :H, :].copy()
+            np.add.at(g, (..., rows[H:], slice(None)), grad[..., H:, :])
+            out = g[..., :W].copy()
+            np.add.at(out, (..., cols[W:]), g[..., W:])
+            return (out,)
 
         return Tensor.from_op(data, (self,), backward)
 

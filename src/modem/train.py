@@ -156,7 +156,6 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
                         f"{_fmt(total)},{_fmt(lr)}")
         opt.step(lr=lr)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"loss_{tag}.csv")
     atomic_write_text(csv_path, "\n".join(rows) + "\n")
     ckpt_path = os.path.join(cfg.output_dir, f"{tag}.ckpt")

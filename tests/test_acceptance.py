@@ -19,8 +19,7 @@ from modem.model import load_checkpoint
 from modem.scan_orders import (build_order, morton_decode,
                                morton_decode_array, morton_encode,
                                morton_encode_array)
-from modem.ssm import selective_scan, zoh_discretize, _zoh_factors
-from modem.ssm import decompose_output
+from modem.ssm import scan_terms, zoh_discretize, _zoh_factors
 from modem.tensor import Tensor
 from modem.train import train_stage1, train_stage2
 from test_scan_orders import interleave_oracle
@@ -91,7 +90,7 @@ def test_criterion_04_selective_scan_oracle():
     for _ in range(200):
         x, delta, A, B, C, D = random_instance(rng)
         disc = zoh_discretize(A, delta, B)
-        y, _ = selective_scan(x, disc, C, D)
+        y, _, _, _ = scan_terms(x, disc, C, D)
         expect = unrolled_oracle(x, disc.Abar, disc.Bbar, C, D)
         worst = max(worst, float(np.max(np.abs(y - expect))))
     assert worst < 1e-10, f"worst {worst:.2e}"
@@ -126,8 +125,8 @@ def test_criterion_06_decomposition_identity():
     for _ in range(100):
         x, delta, A, B, C, D = random_instance(rng)
         disc = zoh_discretize(A, delta, B)
-        y, _ = selective_scan(x, disc, C, D)
-        longrange, local = decompose_output(x, disc, C, D)
+        y, _, _, _ = scan_terms(x, disc, C, D)
+        _, _, longrange, local = scan_terms(x, disc, C, D)
         assert np.max(np.abs(longrange + local + D[:, None] * x - y)) < 1e-14
         assert np.all(longrange[:, 0] == 0.0)
     report(6, "long-range/local decomposition identity")

@@ -27,7 +27,7 @@ def toy_priors(rng, cfg):
 
 
 def toy_cond(rng, cfg):
-    adapter = DAFMAdapter(cfg.c_d, cfg.d_inner, rng)
+    adapter = DAFMAdapter(cfg.c_d, cfg.d_inner)
     adapter.proj.weight.data = rng.normal(scale=0.2,
                                           size=adapter.proj.weight.shape)
     dsam = DSAM(cfg.d_inner, cfg.d_attn, cfg.c_d1, cfg.c_d2, rng)
@@ -36,7 +36,7 @@ def toy_cond(rng, cfg):
 
 class TestDAFM:
     def test_identity_at_init(self, rng):
-        adapter = DAFMAdapter(5, 4, rng)
+        adapter = DAFMAdapter(5, 4)
         feat = Tensor(rng.normal(size=(4, 3, 3)))
         scale, bias = adapter(Tensor(rng.normal(size=5)))
         out = dafm_apply(feat, scale, bias)

@@ -274,6 +274,20 @@ class TestCheckpointHardening:
         assert loaded["empty"].shape == (0, 3)
         assert loaded["w"].tobytes() == np.ones(2).tobytes()
 
+    def test_scalar_keeps_its_shape(self, tmp_path):
+        path = str(tmp_path / "s.ckpt")
+        save_checkpoint(path, {"s": np.float64(3)}, stage=1)
+        loaded, _ = load_checkpoint(path)
+        assert loaded["s"].shape == ()
+        assert loaded["s"].tobytes() == np.float64(3).tobytes()
+        assert open(path, "rb").read() == raw_checkpoint(1, [(b"s", (), [3.0])])
+
+    def test_save_creates_missing_directory(self, tmp_path):
+        path = str(tmp_path / "new" / "deeper" / "m.ckpt")
+        save_checkpoint(path, {"w": np.ones(2)}, stage=1)
+        loaded, _ = load_checkpoint(path)
+        assert loaded["w"].tobytes() == np.ones(2).tobytes()
+
     def test_loaded_arrays_are_writeable_float64(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, tiny_state(), stage=1)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from modem import ssm
-from modem.ssm import (SERIES_THRESHOLD, DiscreteSSM, SSMParams,
-                       decompose_output, scan_backward, selective_scan,
+from modem.ssm import (SERIES_THRESHOLD, scan_backward, scan_terms,
                        selective_scan_op, zoh_discretize, _zoh_factors)
 from modem.tensor import Tensor, no_grad
 
@@ -149,23 +148,13 @@ class TestZOH:
                                  reference_zoh_factors(A, delta)):
                 assert got.tobytes() == want.tobytes()
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            SSMParams(A=np.array([[0.5]]), D=np.zeros(1),
-                      delta=np.array([[0.1]]), B=np.ones((1, 1)),
-                      C=np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            SSMParams(A=np.array([[-0.5]]), D=np.zeros(1),
-                      delta=np.array([[-0.1]]), B=np.ones((1, 1)),
-                      C=np.ones((1, 1)))
-
 
 class TestScan:
     def test_matches_unrolled_oracle(self, rng):
         for _ in range(50):
             x, delta, A, B, C, D = random_instance(rng)
             disc = zoh_discretize(A, delta, B)
-            y, _ = selective_scan(x, disc, C, D)
+            y, _, _, _ = scan_terms(x, disc, C, D)
             expect = unrolled_oracle(x, disc.Abar, disc.Bbar, C, D)
             assert np.max(np.abs(y - expect)) < 1e-10
 
@@ -173,14 +162,14 @@ class TestScan:
         for _ in range(20):
             x, delta, A, B, C, D = random_instance(rng)
             disc = zoh_discretize(A, delta, B)
-            y, _ = selective_scan(x, disc, C, D)
-            longrange, local = decompose_output(x, disc, C, D)
+            y, _, _, _ = scan_terms(x, disc, C, D)
+            _, _, longrange, local = scan_terms(x, disc, C, D)
             np.testing.assert_array_equal(longrange + local + D[:, None] * x, y)
 
     def test_first_step_longrange_zero(self, rng):
         x, delta, A, B, C, D = random_instance(rng)
         disc = zoh_discretize(A, delta, B)
-        longrange, _ = decompose_output(x, disc, C, D)
+        _, _, longrange, _ = scan_terms(x, disc, C, D)
         np.testing.assert_array_equal(longrange[:, 0], 0.0)
 
     def test_long_sequence_stability(self, rng):
@@ -192,7 +181,7 @@ class TestScan:
         C = rng.normal(size=(L, N))
         D = np.zeros(d)
         x = rng.normal(size=(d, L))
-        y, states = selective_scan(x, zoh_discretize(A, delta, B), C, D)
+        y, states, _, _ = scan_terms(x, zoh_discretize(A, delta, B), C, D)
         assert np.all(np.isfinite(y))
         assert np.max(np.abs(states)) < 1e4
 
@@ -200,9 +189,9 @@ class TestScan:
         x, delta, A, B, C, D = random_instance(rng, d=2, N=3, L=4)
         disc = zoh_discretize(A, delta, B)
         with pytest.raises(ValueError):
-            selective_scan(x[:, :3], disc, C, D)
+            scan_terms(x[:, :3], disc, C, D)
         with pytest.raises(ValueError):
-            selective_scan(x, disc, C[:3], D)
+            scan_terms(x, disc, C[:3], D)
 
 
 class TestScanGradients:
@@ -228,7 +217,7 @@ class TestScanGradients:
 
             def loss_np(vals):
                 disc = zoh_discretize(vals["A"], vals["delta"], vals["B"])
-                y, _ = selective_scan(vals["x"], disc, vals["C"], vals["D"])
+                y, _, _, _ = scan_terms(vals["x"], disc, vals["C"], vals["D"])
                 return float((y * w).sum())
 
             for name, t in tensors.items():
@@ -260,7 +249,7 @@ class TestScanGradients:
         # dA via central FD with a large step relative to delta*A curvature
         def f(a):
             disc = zoh_discretize(a, delta, B)
-            y, _ = selective_scan(x, disc, C, D)
+            y, _, _, _ = scan_terms(x, disc, C, D)
             return float(y.sum())
         fd = fd_grad(f, A.copy(), eps=1e-5)
         np.testing.assert_allclose(t["A"].grad, fd, rtol=1e-4, atol=1e-10)
@@ -298,12 +287,12 @@ class TestChunkedKernel:
         x, delta, A, B, C, D = random_instance(rng, d=d, N=N, L=L)
         disc = zoh_discretize(A, delta, B)
         want = sequential_forward(x, disc.Abar, disc.Bbar, C, D)
-        got = ssm._scan_forward_np(x, disc.Abar, disc.Bbar.copy(), C, D)
+        got = ssm._scan_forward(x, disc.Abar, disc.Bbar.copy(), C, D)
         for g, w in zip(got, want):
             assert rel_err(g, w) < 1e-12
         dy = rng.normal(size=(d, L))
         want = sequential_backward(dy, x, C, disc.Abar, disc.Bbar, want[1])
-        got = ssm._scan_backward_np(dy, x, C, disc.Abar, disc.Bbar, got[1])
+        got = ssm._scan_backward(dy, x, C, disc.Abar, disc.Bbar, got[1])
         for g, w in zip(got, want):
             assert rel_err(g, w) < 1e-12
 
@@ -326,7 +315,7 @@ class TestChunkedKernel:
 
         def loss_np(vals):
             disc = zoh_discretize(vals["A"], vals["delta"], vals["B"])
-            y, _ = selective_scan(vals["x"], disc, vals["C"], vals["D"])
+            y, _, _, _ = scan_terms(vals["x"], disc, vals["C"], vals["D"])
             return float((y * w).sum())
 
         for name, t in tensors.items():
@@ -351,8 +340,7 @@ class TestChunkedKernel:
             x, delta, A, B, C, D = arrays
             disc = zoh_discretize(A, delta, B)
             kept = [disc.Abar.copy(), disc.Bbar.copy()]
-            selective_scan(x, disc, C, D)
-            decompose_output(x, disc, C, D)
+            scan_terms(x, disc, C, D)
             for a, b in zip(arrays, saved):
                 assert a.tobytes() == b.tobytes()
             for a, b in zip((disc.Abar, disc.Bbar), kept):
@@ -368,21 +356,3 @@ class TestChunkedKernel:
         scan_backward(*args)
         for a, b in zip(args, saved):
             assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.skipif(not ssm._HAVE_NUMBA, reason="numba is not installed")
-class TestNumbaParity:
-    @pytest.mark.parametrize("d,L,N", [(1, 1, 1), (3, 63, 2), (8, 4096, 4),
-                                       (72, 200, 8)])
-    def test_jit_matches_numpy(self, rng, d, L, N):
-        x, delta, A, B, C, D = random_instance(rng, d=d, N=N, L=L)
-        disc = zoh_discretize(A, delta, B)
-        jit = ssm._scan_forward_jit(x, disc.Abar, disc.Bbar, C, D)
-        ref = ssm._scan_forward_np(x, disc.Abar, disc.Bbar.copy(), C, D)
-        for g, w in zip(jit, ref):
-            assert rel_err(g, w) < 1e-12
-        dy = rng.normal(size=(d, L))
-        jit = ssm._scan_backward_jit(dy, x, C, disc.Abar, disc.Bbar, ref[1])
-        ref = ssm._scan_backward_np(dy, x, C, disc.Abar, disc.Bbar, ref[1])
-        for g, w in zip(jit, ref):
-            assert rel_err(g, w) < 1e-12

@@ -204,6 +204,25 @@ class TestShapeOps:
                        abs(j if j < 3 else 2 * 3 - 2 - j)] += 1
         np.testing.assert_array_equal(x.grad, expect)
 
+    @pytest.mark.parametrize("H", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("W", [1, 2, 3, 4, 5])
+    def test_reflect_pad_any_size_matches_np_pad_and_fd(self, H, W):
+        # pads up to twice the extent and beyond reflect more than once
+        rng = np.random.default_rng(10 * H + W)
+        d = rng.normal(size=(2, H, W))
+        for ph in range(2 * H + 2):
+            for pw in range(2 * W + 2):
+                weights = rng.normal(size=(2, H + ph, W + pw))
+                x = Tensor(d.copy(), requires_grad=True)
+                out = x.reflect_pad2d(ph, pw)
+                np.testing.assert_array_equal(out.data, np.pad(
+                    d, ((0, 0), (0, ph), (0, pw)), mode="reflect"))
+                (out * Tensor(weights)).sum().backward()
+                fd = fd_grad(lambda a: float((np.pad(
+                    a, ((0, 0), (0, ph), (0, pw)), mode="reflect")
+                    * weights).sum()), d.copy())
+                np.testing.assert_allclose(x.grad, fd, rtol=1e-7, atol=1e-7)
+
 
 class TestMatmul:
     @pytest.mark.parametrize("sa,sb", [
