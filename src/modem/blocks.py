@@ -212,16 +212,27 @@ class MOS2D(Module):
                   cond: LevelConditioning | None = None):
         """(H, W) maps of the scan's long-range term, local term, and output,
         averaged over inner channels, plus the max reconstruction deviation
-        |longrange + local + skip - y| (zero by construction).
+        |longrange + local + skip - y|. A bidirectional block adds each term
+        of the reversed scan, re-reversed, as `forward` adds the two scans;
+        the deviation is then rounding only (zero for one direction).
         """
         _, H, W = feat.shape
+        D = self.skip_gain.data
         with no_grad():
             xs, _, delta, b, c, perm = self._prescan(feat, cond)
             a = -np.exp(self.a_log.data)
-            disc = zoh_discretize(a, delta.data.T, b.data)
-            y, _, longrange, local = scan_terms(xs.data.T, disc, c.data,
-                                                self.skip_gain.data)
-        skip = self.skip_gain.data[:, None] * xs.data.T
+
+            def terms(order):
+                x = xs.data[order].T
+                disc = zoh_discretize(a, delta.data[order].T, b.data[order])
+                y, _, longrange, local = scan_terms(x, disc, c.data[order], D)
+                return y, longrange, local, D[:, None] * x
+
+            parts = terms(slice(None))
+            if self.cfg.bidirectional:
+                rev = np.arange(len(perm) - 1, -1, -1)
+                parts = [f + r[:, rev] for f, r in zip(parts, terms(rev))]
+        y, longrange, local, skip = parts
         deviation = float(np.max(np.abs(longrange + local + skip - y)))
 
         def to_map(seq_dl: np.ndarray) -> np.ndarray:

@@ -199,16 +199,23 @@ def _cmd_params(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)               # argparse reports a ValueError itself
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="modem")
     sub = p.add_subparsers(dest="command", required=True)
 
     sc = sub.add_parser("scan-compare", help="scan-order locality and timing")
-    sc.add_argument("--height", type=int, default=256)
-    sc.add_argument("--width", type=int, default=256)
+    sc.add_argument("--height", type=_positive_int, default=256)
+    sc.add_argument("--width", type=_positive_int, default=256)
     sc.add_argument("--kinds", default="")
-    sc.add_argument("--window", type=int, default=8)
-    sc.add_argument("--repeats", type=int, default=3)
+    sc.add_argument("--window", type=_positive_int, default=8)
+    sc.add_argument("--repeats", type=_positive_int, default=3)
     sc.add_argument("--out", default="")
     sc.set_defaults(fn=_cmd_scan_compare)
 

@@ -18,6 +18,14 @@ views with a = Abar shifted by one step. On long sequences with few
 channels x states it steps chunks of the sequence together (about
 2 sqrt(3L) numpy steps instead of L, see `_linear_recurrence`); elsewhere
 it steps one token at a time.
+
+Off the tape, such a one-token-at-a-time scan is streamed in blocks of
+BLOCK tokens: each block's ZOH factors, recurrence and output are formed
+before the next block's, with the last state carried over, so no
+(d, L, N) array exists whole (the kernel fusion of Mamba's hardware-aware
+scan, Gu & Dao, arXiv 2312.00752, section 3.3.2, with the cache in place of
+GPU SRAM). Every token goes through the same operations as in the
+whole-sequence scan, so the output bytes are the same.
 """
 
 from __future__ import annotations
@@ -42,12 +50,19 @@ def _zoh_factors(A: np.ndarray, delta: np.ndarray):
     """Return (Abar, phi) with Abar = exp(delta*A), phi = (Abar - 1)/A.
 
     Two full-size buffers: u = delta*A becomes Abar in place, and the
-    series branch is evaluated only at the entries its mask selects.
+    series branch is evaluated only at the entries its mask selects. The
+    mask is built only when min|delta| * min|A| falls below the series
+    threshold: rounding is monotonic, so otherwise no |u| does (at paper
+    widths none ever does).
     """
     u = delta[:, :, None] * A[:, None, :]
-    phi = np.abs(u)
-    series = phi < SERIES_THRESHOLD
-    u_series = u[series] if series.any() else None
+    bound = np.abs(delta).min(initial=np.inf) * np.abs(A).min(initial=np.inf)
+    if bound >= SERIES_THRESHOLD:
+        phi, u_series = np.empty_like(u), None
+    else:                                       # NaN lands here too
+        phi = np.abs(u)
+        series = phi < SERIES_THRESHOLD
+        u_series = u[series] if series.any() else None
     Abar = np.exp(u, out=u)
     np.subtract(Abar, 1.0, out=phi)
     phi /= np.where(np.abs(A) < 1e-300, 1.0, A)[:, None, :]
@@ -74,6 +89,16 @@ def zoh_discretize(A: np.ndarray, delta: np.ndarray, B: np.ndarray) -> DiscreteS
 # d*N = 112 with N = 4 and near 140 with N = 8.
 CHUNKED_MIN_LEN = 64
 CHUNKED_MAX_DN = 112
+
+# Without the tape, a plain-loop scan is streamed in blocks of BLOCK tokens.
+# Timed on token-major inputs (2-vCPU Xeon, 4 MB L2, one BLAS thread), whole
+# sequence -> BLOCK = 64 / 128 / 256 / 512 / 1024, ranges of two runs:
+#   (36, 4096, 8) scan, ms       43 -> 34-35 / 30-35 / 30-33 / 32-33 / 35-40
+#   (96, 4096, 8) scan, ms       99 -> 56-69 / 59-63 / 71-74 / 69-73 / 85-89
+#   paper-default 64x64 restore 1.83 -> 1.53 / 1.50 / 1.52 / 1.54 / 1.57 s
+# (restore: median of 6, block sizes interleaved). 128 and 256 tie on the
+# restore; past 512 a block's buffers outgrow the cache.
+BLOCK = 256
 
 
 def _chunk_len(d_n: int, L: int) -> int:
@@ -131,17 +156,22 @@ def _linear_recurrence(a: np.ndarray, h: np.ndarray, T: int) -> None:
         h[:, k] += a[:, k - 1] * h[:, k - 1]
 
 
-def _scan_forward(x, Abar, Bbar, C, D):
+def _scan_forward(x, Abar, Bbar, C, D, h0=None):
     """Run the recurrence. Returns y, states h (d, L, N), and the long-range
     / local output terms; y is formed as longrange + local + D*x, so that
     sum reproduces it bit-for-bit. Bbar is a buffer the caller gives up:
-    it becomes the states in place."""
+    it becomes the states in place. h0 (d, N) is the state before the
+    first token (zero when None); it enters token 0 through the same
+    operations every later token's predecessor does."""
     d, L = x.shape
     states = Bbar
     states *= x[:, :, None]
     local = np.einsum("dln,ln->dl", states, C)
-    _linear_recurrence(Abar[:, 1:], states, _chunk_len(d * C.shape[1], L))
     longrange = np.zeros_like(local)
+    if h0 is not None:
+        states[:, 0] += Abar[:, 0] * h0
+        np.einsum("dn,dn,n->d", Abar[:, 0], h0, C[0], out=longrange[:, 0])
+    _linear_recurrence(Abar[:, 1:], states, _chunk_len(d * C.shape[1], L))
     np.einsum("dln,dln,ln->dl", Abar[:, 1:], states[:, :-1], C[1:],
               out=longrange[:, 1:])
     y = longrange + local
@@ -215,20 +245,43 @@ def scan_backward(dy, x, delta, A, B, C, D, Abar, phi, states):
     return dx, ddelta, dA, dB, dC, dD
 
 
+def _scan_no_grad(x, delta, A, B, C, D) -> np.ndarray:
+    """y of the scan without the tape, streamed BLOCK tokens at a time with
+    the (d, N) state carried between blocks, so the (d, L, N) buffers never
+    exist whole and each block's stay in cache. A chunked recurrence needs
+    the whole sequence and runs as one block. The bytes are those of the
+    recording path."""
+    d, L = x.shape
+    block = L if _chunk_len(d * A.shape[1], L) else BLOCK
+    y, h = None, None
+    for s in range(0, max(L, 1), block):
+        e = min(s + block, L)
+        Abar, phi = _zoh_factors(A, delta[:, s:e])
+        phi *= B[None, s:e, :]
+        yb, states, _, _ = _scan_forward(x[:, s:e], Abar, phi, C[s:e], D, h)
+        if e - s == L:
+            return yb
+        if y is None:
+            y = np.empty_like(yb, shape=(d, L))
+        y[:, s:e] = yb
+        h = states[:, -1].copy()
+    return y
+
+
 def selective_scan_op(x: Tensor, delta: Tensor, A: Tensor, B: Tensor,
                       C: Tensor, D: Tensor) -> Tensor:
     """Differentiable ZOH + selective scan as one tape primitive.
 
-    When the tape is not recording, Bbar is formed in place in phi and
-    neither the states nor a backward closure are kept.
+    When the tape is not recording, neither the states nor a backward
+    closure are kept, and plain-loop scans run block by block
+    (`_scan_no_grad`); the output bytes are those of the recording path.
     """
     parents = (x, delta, A, B, C, D)
     xd, dd = x.data, delta.data
     Ad, Bd, Cd, Dd = A.data, B.data, C.data, D.data
-    Abar, phi = _zoh_factors(Ad, dd)
     if not is_recording(parents):
-        phi *= Bd[None, :, :]
-        return Tensor(_scan_forward(xd, Abar, phi, Cd, Dd)[0])
+        return Tensor(_scan_no_grad(xd, dd, Ad, Bd, Cd, Dd))
+    Abar, phi = _zoh_factors(Ad, dd)
     y, states, _, _ = _scan_forward(xd, Abar, phi * Bd[None, :, :], Cd, Dd)
 
     def backward(grad):

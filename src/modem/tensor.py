@@ -68,6 +68,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Sigmoid of x from e = exp(-|x|): 1/(1 + e) where x >= 0, e/(1 + e)
+    below, so no exponential overflows in either tail."""
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -358,10 +364,7 @@ class Tensor:
         return Tensor.from_op(data, (self,), backward)
 
     def sigmoid(self):
-        # Stable in both tails.
-        x = self.data
-        data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        data = _sigmoid(self.data, np.exp(-np.abs(self.data)))
 
         def backward(grad):
             return (grad * data * (1.0 - data),)
@@ -374,12 +377,11 @@ class Tensor:
     def softplus(self):
         # log(1 + e^x) without overflow for large |x|.
         x = self.data
-        data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-        sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        data = np.maximum(x, 0.0) + np.log1p(e)
 
         def backward(grad):
-            return (grad * sig,)
+            return (grad * _sigmoid(x, e),)
 
         return Tensor.from_op(data, (self,), backward)
 

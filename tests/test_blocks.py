@@ -7,8 +7,8 @@ import pytest
 from modem import ops
 from modem.blocks import (CAB, DSAM, MDSL, MOS2D, DAFMAdapter,
                           DegradationPriors, LevelConditioning, MOS2DConfig,
-                          S6ParamHead, dafm_apply)
-from modem.tensor import ContractError, Tensor
+                          S6ParamHead, cached_order, dafm_apply)
+from modem.tensor import ContractError, Tensor, no_grad
 
 
 def toy_cfg(**kw):
@@ -183,6 +183,50 @@ class TestMOS2D:
                 assert (sd, abs(sl), sn) == (8 * N, 8 * d * N, 8)
             directions.add(h_strides[1] > 0)
         assert directions == {True, False}
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_decompose_output_is_the_scan_output(self, rng, monkeypatch,
+                                                 bidirectional):
+        cfg = toy_cfg(channels=8, bidirectional=bidirectional)
+        block = MOS2D(cfg, rng)
+        feat = Tensor(rng.normal(size=(8, 6, 5)))
+        cond = toy_cond(rng, cfg)
+        scans = []
+        scan = block._scan
+
+        def spy(*args):
+            out = scan(*args)
+            scans.append(out.data)
+            return out
+
+        monkeypatch.setattr(block, "_scan", spy)
+        with no_grad():
+            block(feat, cond)
+        ys = scans[0] + scans[1][::-1] if bidirectional else scans[0]
+        perm = cached_order(6, 5, cfg.scan_kind)
+        _, _, y_map, deviation = block.decompose(feat, cond)
+        np.testing.assert_allclose(
+            y_map, ys.mean(axis=1)[perm.inverse].reshape(6, 5),
+            rtol=1e-12, atol=1e-15)
+        assert deviation < 1e-12
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_no_grad_forward_bit_equal_to_recording(self, rng, bidirectional):
+        # d*N above the chunked cut and L over one block: without the tape
+        # each direction's scan is streamed in blocks
+        from modem import ssm
+        cfg = toy_cfg(channels=16, d_state=8, bidirectional=bidirectional)
+        assert cfg.d_inner * cfg.d_state > ssm.CHUNKED_MAX_DN
+        H, W = 17, 16
+        assert H * W > ssm.BLOCK
+        block = MOS2D(cfg, rng)
+        cond = toy_cond(rng, cfg)
+        feat = rng.normal(size=(16, H, W))
+        recorded = block(Tensor(feat, requires_grad=True), cond)
+        with no_grad():
+            plain = block(Tensor(feat), cond)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
 
     def test_decompose_identity(self, rng):
         cfg = toy_cfg()

@@ -44,6 +44,16 @@ class TestScanCompare:
     def test_unknown_kind_is_usage_error(self):
         assert main(["scan-compare", "--kinds", "zigzag"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--height", "0"], ["--width", "-3"], ["--window", "0", "--kinds",
+                                              "local"],
+        ["--repeats", "0"], ["--height", "2.5"]])
+    def test_non_positive_size_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-compare", "--height", "8", "--width", "8", *argv])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_exits_zero(self, capsys):

@@ -1,5 +1,7 @@
 """Selective scan: discretization analytics, oracle equivalence, gradients."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -138,12 +140,34 @@ class TestZOH:
         assert np.all(disc.Abar > 0) and np.all(disc.Abar < 1)
 
     def test_factors_bit_identical_to_both_branch_reference(self, rng):
-        for d, L, N in ((3, 50, 4), (8, 600, 4)):
+        def wide(d, L, N):        # |delta*A| far above the series threshold
+            return (-np.tile(np.arange(1.0, N + 1.0), (d, 1)),
+                    rng.uniform(1e-3, 0.1, size=(d, L)))
+
+        def mixed(d, L, N):       # entries on both sides of it
             A = -np.exp(3.0 * rng.normal(size=(d, N)))
             delta = np.exp(rng.normal(scale=4.0, size=(d, L)) - 8.0)
             delta[0, :5] = 0.0
-            assert np.any(np.abs(delta[:, :, None] * A[:, None, :])
-                          < SERIES_THRESHOLD)
+            return A, delta
+
+        def apart(d, L, N):       # min|delta| * min|A| below it, no entry
+            A = -np.ones((d, N))
+            A[1] = -1e-5
+            delta = np.ones((d, L))
+            delta[0] = 1e-5
+            return A, delta
+
+        for make, (d, L, N), below in ((mixed, (3, 50, 4), True),
+                                       (mixed, (8, 600, 4), True),
+                                       (wide, (36, 300, 8), False),
+                                       (apart, (2, 40, 3), False)):
+            A, delta = make(d, L, N)
+            u = np.abs(delta[:, :, None] * A[:, None, :])
+            assert np.any(u < SERIES_THRESHOLD) == below
+            assert np.any(u >= SERIES_THRESHOLD)
+            if make is apart:
+                assert (np.abs(delta).min() * np.abs(A).min()
+                        < SERIES_THRESHOLD)
             for got, want in zip(_zoh_factors(A, delta),
                                  reference_zoh_factors(A, delta)):
                 assert got.tobytes() == want.tobytes()
@@ -325,8 +349,20 @@ class TestChunkedKernel:
             assert err < 1e-6, name
 
     def test_no_grad_output_bit_equal_and_inputs_untouched(self, rng):
-        for L in (5, 500):
-            arrays = random_instance(rng, d=3, N=4, L=L)
+        # (3, 4): whole-sequence scans, chunked at L = 500. (16, 8):
+        # d*N above CHUNKED_MAX_DN, streamed in blocks without the tape,
+        # on either side of each block edge and token-major as MOS2D
+        # hands them.
+        blk = ssm.BLOCK
+        cases = [(3, 4, 5, False), (3, 4, 500, False)] + [
+            (16, 8, L, token_major) for L in (1, blk - 1, blk, blk + 1,
+                                              3 * blk + 5)
+            for token_major in (False, True)]
+        for d, N, L, token_major in cases:
+            arrays = random_instance(rng, d=d, N=N, L=L)
+            if token_major:
+                arrays = tuple(np.ascontiguousarray(a.T).T if a.shape == (d, L)
+                               else a for a in arrays)
             saved = [a.copy() for a in arrays]
             grad_path = selective_scan_op(
                 *[Tensor(a, requires_grad=True) for a in arrays])
@@ -334,6 +370,7 @@ class TestChunkedKernel:
                 no_grad_path = selective_scan_op(
                     *[Tensor(a, requires_grad=True) for a in arrays])
             assert no_grad_path.data.tobytes() == grad_path.data.tobytes()
+            assert no_grad_path.data.strides == grad_path.data.strides
             assert not no_grad_path.requires_grad
             assert no_grad_path._backward is None
             grad_path.sum().backward()
@@ -345,6 +382,26 @@ class TestChunkedKernel:
                 assert a.tobytes() == b.tobytes()
             for a, b in zip((disc.Abar, disc.Bbar), kept):
                 assert a.tobytes() == b.tobytes()
+
+    def test_no_grad_scan_memory_is_per_block(self):
+        # Streamed, a no-grad scan holds O(d*N*BLOCK) beyond its output:
+        # the 100 MB (d, L, N) buffers of this shape never exist whole.
+        rng = np.random.default_rng(0)
+        d, L, N = 96, 16384, 8
+        x = np.ascontiguousarray(rng.normal(size=(L, d))).T
+        delta = rng.uniform(1e-3, 0.1, size=(L, d)).T
+        A = -np.tile(np.arange(1.0, N + 1.0), (d, 1))
+        args = [Tensor(a) for a in (x, delta, A, rng.normal(size=(L, N)),
+                                    rng.normal(size=(L, N)), np.ones(d))]
+        tracemalloc.start()
+        try:
+            with no_grad():
+                y = selective_scan_op(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (d, L)
+        assert peak < 32e6, peak
 
     def test_backward_leaves_saved_arrays_untouched(self, rng):
         x, delta, A, B, C, D = random_instance(rng, d=3, N=4, L=300)

@@ -88,6 +88,28 @@ class TestElementwise:
         (s.sum() + sp.sum()).backward()
         assert np.all(np.isfinite(x.grad))
 
+    def test_sigmoid_softplus_bits_match_reference(self, rng):
+        # exp(-|x|) is evaluated once per activation; the bytes are those
+        # of the formulas that evaluate it at every use
+        x = np.concatenate([rng.normal(scale=30.0, size=200),
+                            [-800.0, -0.0, 0.0, 800.0, -np.inf, np.inf]])
+        w = rng.normal(size=x.shape)
+
+        def sig_ref(v):
+            return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                            np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+
+        sp_ref = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        for op, want, grad in (
+                ("sigmoid", sig_ref(x), w * sig_ref(x) * (1.0 - sig_ref(x))),
+                ("softplus", sp_ref, w * sig_ref(x))):
+            t = Tensor(x.copy(), requires_grad=True)
+            out = getattr(t, op)()
+            (out * Tensor(w)).sum().backward()
+            assert out.data.tobytes() == want.tobytes(), op
+            # + 0.0: gradient accumulation turns -0.0 into 0.0
+            assert t.grad.tobytes() == (grad + 0.0).tobytes(), op
+
     def test_softmax_extreme_logits(self):
         x = Tensor(np.array([700.0, 0.0, -700.0]), requires_grad=True)
         p = x.softmax()
