@@ -10,7 +10,7 @@ import numpy as np
 from . import ops
 from .nn import Conv2d, LayerNorm2d, Linear, Module, param
 from .scan_orders import ScanPermutation, build_order
-from .ssm import scan_terms, selective_scan_op, zoh_discretize
+from .ssm import scan_terms, selective_scan_op
 from .tensor import ContractError, Tensor, no_grad
 
 _PERM_CACHE: dict[tuple[int, int, str], ScanPermutation] = {}
@@ -35,19 +35,13 @@ class DegradationPriors:
 @dataclass(frozen=True)
 class MOS2DConfig:
     channels: int
-    d_inner: int = 0          # 0 -> channels
     d_state: int = 8
     dt_rank: int = 0          # 0 -> max(1, channels // 8)
     scan_kind: str = "morton"
     conditioned: bool = False
-    c_d: int = 96
-    c_d1: int = 48
-    c_d2: int = 48
     bidirectional: bool = False
 
     def __post_init__(self):
-        if self.d_inner == 0:
-            object.__setattr__(self, "d_inner", self.channels)
         if self.dt_rank == 0:
             object.__setattr__(self, "dt_rank", max(1, self.channels // 8))
 
@@ -56,9 +50,9 @@ class MOS2DConfig:
         return self.dt_rank + 2 * self.d_state
 
 
-def dafm_apply(feat: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
-    """Channel-wise affine modulation of (C, H, W) features."""
-    return feat * scale.reshape(-1, 1, 1) + bias.reshape(-1, 1, 1)
+def dafm_apply(tokens: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
+    """Channel-wise affine modulation of (L, C) tokens."""
+    return tokens * scale + bias
 
 
 class DAFMAdapter(Module):
@@ -124,11 +118,11 @@ class S6ParamHead(Module):
 
     def __init__(self, cfg: MOS2DConfig, rng: np.random.Generator | None):
         self.cfg = cfg
-        self.dt_proj = Linear(cfg.dt_rank, cfg.d_inner, rng, bias=False)
+        self.dt_proj = Linear(cfg.dt_rank, cfg.channels, rng, bias=False)
         if rng is None:                 # nothing drawn; loaded next
-            self.dt_bias = param(np.zeros(cfg.d_inner))
+            self.dt_bias = param(np.zeros(cfg.channels))
         else:                           # softplus(dt_bias) lands in [1e-3, 1e-1]
-            dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=cfg.d_inner))
+            dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=cfg.channels))
             self.dt_bias = param(np.log(np.expm1(dt)))
         self.b_proj = Linear(cfg.d_state, cfg.d_state, rng, bias=False)
         self.c_proj = Linear(cfg.d_state, cfg.d_state, rng, bias=False)
@@ -142,29 +136,29 @@ class S6ParamHead(Module):
         f_dt = f_dsam.slice_axis(1, 0, cfg.dt_rank)
         f_b = f_dsam.slice_axis(1, cfg.dt_rank, cfg.dt_rank + cfg.d_state)
         f_c = f_dsam.slice_axis(1, cfg.dt_rank + cfg.d_state, cfg.d_attn)
-        delta = (self.dt_proj(f_dt) + self.dt_bias).softplus()  # (L, d_inner)
+        delta = (self.dt_proj(f_dt) + self.dt_bias).softplus()  # (L, channels)
         return delta, self.b_proj(f_b), self.c_proj(f_c)
 
 
 class MOS2D(Module):
     """Scan-order selective-state-space block over 2-D features.
 
-    Pipeline: input projection -> (conditioned: DAFM) -> gather along the
+    Pipeline: input projection -> (conditioned: DAFM) -> permute into the
     scan order -> (conditioned: DSAM, else plain linear head) -> ZOH +
-    selective scan -> scatter back -> gated output projection.
+    selective scan -> permute back -> gated output projection.
     """
 
     def __init__(self, cfg: MOS2DConfig, rng: np.random.Generator):
         self.cfg = cfg
-        c, d = cfg.channels, cfg.d_inner
-        self.in_proj = Linear(c, 2 * d, rng, bias=False)
+        d = cfg.channels
+        self.in_proj = Linear(d, 2 * d, rng, bias=False)
         if not cfg.conditioned:
             self.x_proj = Linear(d, cfg.d_attn, rng, bias=False)
         self.head = S6ParamHead(cfg, rng)
         self.a_log = param(np.log(np.tile(np.arange(1.0, cfg.d_state + 1.0),
                                           (d, 1))))
         self.skip_gain = param(np.ones(d))
-        self.out_proj = Linear(d, c, rng)
+        self.out_proj = Linear(d, d, rng)
 
     def _scan(self, xs: Tensor, delta: Tensor, b: Tensor, c: Tensor) -> Tensor:
         a = -self.a_log.exp()
@@ -182,12 +176,12 @@ class MOS2D(Module):
         C, H, W = feat.shape
         tokens = feat.reshape(C, H * W).T                 # (L, C) raster order
         xz = self.in_proj(tokens)
-        x = xz.slice_axis(1, 0, cfg.d_inner)
-        z = xz.slice_axis(1, cfg.d_inner, 2 * cfg.d_inner)
+        x = xz.slice_axis(1, 0, cfg.channels)
+        z = xz.slice_axis(1, cfg.channels, 2 * cfg.channels)
         if cfg.conditioned:
-            x = x * cond.scale + cond.bias                # broadcast over tokens
+            x = dafm_apply(x, cond.scale, cond.bias)
         perm = cached_order(H, W, cfg.scan_kind)
-        xs = x.take(perm.forward, axis=0)                 # scan order
+        xs = x.take(perm.forward)                         # scan order
         if cfg.conditioned:
             f_dsam = cond.dsam.apply(xs, cond.attention)
         else:
@@ -201,10 +195,9 @@ class MOS2D(Module):
         ys = self._scan(xs, delta, b, c)
         if self.cfg.bidirectional:
             rev = np.arange(len(perm) - 1, -1, -1)
-            ys = ys + self._scan(xs.take(rev, axis=0), delta.take(rev, axis=0),
-                                 b.take(rev, axis=0), c.take(rev, axis=0)
-                                 ).take(rev, axis=0)
-        y = ys.take(perm.inverse, axis=0)                 # back to raster order
+            ys = ys + self._scan(xs.take(rev), delta.take(rev), b.take(rev),
+                                 c.take(rev)).take(rev)
+        y = ys.take(perm.inverse)                         # back to raster order
         out = self.out_proj(y * z.silu())
         return out.T.reshape(feat.shape)
 
@@ -224,8 +217,8 @@ class MOS2D(Module):
 
             def terms(order):
                 x = xs.data[order].T
-                disc = zoh_discretize(a, delta.data[order].T, b.data[order])
-                y, _, longrange, local = scan_terms(x, disc, c.data[order], D)
+                y, longrange, local = scan_terms(
+                    x, delta.data[order].T, a, b.data[order], c.data[order], D)
                 return y, longrange, local, D[:, None] * x
 
             parts = terms(slice(None))

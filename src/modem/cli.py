@@ -36,11 +36,17 @@ def _cmd_scan_compare(args) -> int:
     rows = ["kind,height,width,build_seconds,mean,median,p95,block_depth"]
     for kind in kinds:
         times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            perm = build_order(args.height, args.width, kind, window=args.window)
-            times.append(time.perf_counter() - t0)
-        stats = locality_stats(perm)
+        try:
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                perm = build_order(args.height, args.width, kind,
+                                   window=args.window)
+                times.append(time.perf_counter() - t0)
+            stats = locality_stats(perm)
+        except MemoryError:
+            print(f"error: a {args.height}x{args.width} grid does not fit "
+                  "in memory", file=sys.stderr)
+            return USAGE_ERROR
         rows.append(
             f"{kind},{args.height},{args.width},{np.median(times):.6e},"
             f"{stats['mean']:.6e},{stats['median']:.6e},{stats['p95']:.6e},"

@@ -51,16 +51,20 @@ def fd_check(fn, tensors: dict[str, Tensor], eps: float = 1e-5,
     return worst
 
 
+# prior widths (c_d, c_d1, c_d2) of the toy conditioned blocks
+_TOY_C_D, _TOY_C_D1, _TOY_C_D2 = 5, 3, 4
+
+
 def _toy_cfg(conditioned: bool) -> MOS2DConfig:
-    return MOS2DConfig(channels=4, d_state=3, dt_rank=2, c_d=5, c_d1=3,
-                       c_d2=4, conditioned=conditioned)
+    return MOS2DConfig(channels=4, d_state=3, dt_rank=2,
+                       conditioned=conditioned)
 
 
-def _toy_priors(rng: np.random.Generator, cfg: MOS2DConfig) -> DegradationPriors:
+def _toy_priors(rng: np.random.Generator) -> DegradationPriors:
     return DegradationPriors(
-        z_tilde=Tensor(rng.normal(size=4 * cfg.c_d), requires_grad=True),
-        z0=Tensor(rng.normal(size=cfg.c_d), requires_grad=True),
-        z1=Tensor(rng.normal(size=(cfg.c_d1, cfg.c_d2)), requires_grad=True),
+        z_tilde=Tensor(rng.normal(size=4 * _TOY_C_D), requires_grad=True),
+        z0=Tensor(rng.normal(size=_TOY_C_D), requires_grad=True),
+        z1=Tensor(rng.normal(size=(_TOY_C_D1, _TOY_C_D2)), requires_grad=True),
     )
 
 
@@ -69,13 +73,13 @@ def check_dafm(seed: int = 0) -> float:
     adapter = DAFMAdapter(5, 4)
     # move off the zero init so the weight gradient is exercised
     adapter.proj.weight.data = rng.normal(scale=0.3, size=adapter.proj.weight.shape)
-    feat = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+    tokens = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
     z0 = Tensor(rng.normal(size=5), requires_grad=True)
-    tensors = dict(adapter.parameters(), feat=feat, z0=z0)
+    tensors = dict(adapter.parameters(), tokens=tokens, z0=z0)
 
     def fn():
         scale, bias = adapter(z0)
-        return (dafm_apply(feat, scale, bias) ** 2).mean()
+        return (dafm_apply(tokens, scale, bias) ** 2).mean()
 
     return fd_check(fn, tensors, seed=seed)
 
@@ -109,10 +113,10 @@ def check_s6_head(seed: int = 0) -> float:
 
 def _toy_conditioning(rng, cfg):
     """Adapter + shared attention module + priors for conditioned blocks."""
-    adapter = DAFMAdapter(cfg.c_d, cfg.d_inner)
+    adapter = DAFMAdapter(_TOY_C_D, cfg.channels)
     adapter.proj.weight.data = rng.normal(scale=0.2, size=adapter.proj.weight.shape)
-    dsam = DSAM(cfg.d_inner, cfg.d_attn, cfg.c_d1, cfg.c_d2, rng)
-    priors = _toy_priors(rng, cfg)
+    dsam = DSAM(cfg.channels, cfg.d_attn, _TOY_C_D1, _TOY_C_D2, rng)
+    priors = _toy_priors(rng)
     return adapter, dsam, priors
 
 

@@ -109,7 +109,6 @@ class Backbone(Module):
             return MOS2DConfig(
                 channels=c, d_state=cfg.d_state, dt_rank=cfg.dt_rank,
                 scan_kind=cfg.scan_kind, conditioned=True,
-                c_d=cfg.c_d, c_d1=cfg.c_d1, c_d2=cfg.c_d2,
                 bidirectional=cfg.bidirectional,
             )
 
@@ -119,9 +118,9 @@ class Backbone(Module):
         self.dsam_mods = []
         for i in range(lv):
             bc = block_cfg(chans[i])
-            self.dafm_adapters.append(DAFMAdapter(cfg.c_d, bc.d_inner))
+            self.dafm_adapters.append(DAFMAdapter(cfg.c_d, chans[i]))
             self.dsam_mods.append(
-                DSAM(bc.d_inner, bc.d_attn, cfg.c_d1, cfg.c_d2, rng))
+                DSAM(chans[i], bc.d_attn, cfg.c_d1, cfg.c_d2, rng))
 
         self.embed = Conv2d(3, chans[0], 3, rng)
         self.enc_groups = [

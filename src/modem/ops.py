@@ -11,52 +11,47 @@ import numpy as np
 from .tensor import ShapeError, Tensor
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """x: (C, H, W) -> cols (C*k*k, Ho*Wo), zero-padded borders."""
+def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """x: (C, H, W) -> cols (C*k*k, H*W) of x zero-padded by `pad`, with
+    2*pad = k - 1 so that each output pixel has one k x k window."""
     C, H, W = x.shape
-    Ho = (H + 2 * pad - k) // stride + 1
-    Wo = (W + 2 * pad - k) // stride + 1
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     s0, s1, s2 = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(C, k, k, Ho, Wo),
-        strides=(s0, s1, s2, s1 * stride, s2 * stride),
+        shape=(C, k, k, H, W),
+        strides=(s0, s1, s2, s1, s2),
         writeable=False,
     )
-    return view.reshape(C * k * k, Ho * Wo), (Ho, Wo)
+    return view.reshape(C * k * k, H * W)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int = 1, pad: int | None = None) -> Tensor:
-    """2-D convolution (cross-correlation), x: (C_in,H,W), w: (C_out,C_in,k,k)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Same-padded 2-D convolution (cross-correlation), x: (C_in,H,W),
+    w: (C_out,C_in,k,k) with k odd."""
     Cin, H, W = x.shape
     Cout, Cin_w, k, k2 = w.shape
     if Cin != Cin_w or k != k2:
         raise ShapeError(f"conv2d: x {x.shape} incompatible with w {w.shape}")
-    if pad is None:
-        if k % 2 != 1:
-            raise ShapeError("conv2d: same-padding requires odd kernel")
-        pad = (k - 1) // 2
-    if (H + 2 * pad - k) % stride or (W + 2 * pad - k) % stride:
-        raise ShapeError("conv2d: output extent is not integral")
+    if k % 2 != 1:
+        raise ShapeError("conv2d: same-padding requires odd kernel")
+    pad = (k - 1) // 2
 
-    cols, (Ho, Wo) = _im2col(x.data, k, stride, pad)
+    cols = _im2col(x.data, k, pad)
     wmat = w.data.reshape(Cout, Cin * k * k)
-    out = (wmat @ cols).reshape(Cout, Ho, Wo)
+    out = (wmat @ cols).reshape(Cout, H, W)
     if b is not None:
         out = out + b.data[:, None, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(grad):
-        gy = grad.reshape(Cout, Ho * Wo)
+        gy = grad.reshape(Cout, H * W)
         gw = (gy @ cols.T).reshape(w.shape)
-        gcols = (wmat.T @ gy).reshape(Cin, k, k, Ho, Wo)
+        gcols = (wmat.T @ gy).reshape(Cin, k, k, H, W)
         gx_pad = np.zeros((Cin, H + 2 * pad, W + 2 * pad))
         for ki in range(k):
             for kj in range(k):
-                gx_pad[:, ki : ki + stride * Ho : stride,
-                       kj : kj + stride * Wo : stride] += gcols[:, ki, kj]
+                gx_pad[:, ki : ki + H, kj : kj + W] += gcols[:, ki, kj]
         gx = gx_pad[:, pad : pad + H, pad : pad + W] if pad else gx_pad
         gb = grad.sum(axis=(1, 2)) if b is not None else None
         return (gx, gw) if b is None else (gx, gw, gb)

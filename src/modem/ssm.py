@@ -19,18 +19,17 @@ channels x states it steps chunks of the sequence together (about
 2 sqrt(3L) numpy steps instead of L, see `_linear_recurrence`); elsewhere
 it steps one token at a time.
 
-Off the tape, such a one-token-at-a-time scan is streamed in blocks of
-BLOCK tokens: each block's ZOH factors, recurrence and output are formed
-before the next block's, with the last state carried over, so no
-(d, L, N) array exists whole (the kernel fusion of Mamba's hardware-aware
-scan, Gu & Dao, arXiv 2312.00752, section 3.3.2, with the cache in place of
-GPU SRAM). Every token goes through the same operations as in the
-whole-sequence scan, so the output bytes are the same.
+Off the tape (restores, and `scan_terms` on plain arrays), such a
+one-token-at-a-time scan is streamed in blocks of BLOCK tokens: each
+block's ZOH factors, recurrence and output are formed before the next
+block's, with the last state carried over, so no (d, L, N) array exists
+whole (the kernel fusion of Mamba's hardware-aware scan, Gu & Dao, arXiv
+2312.00752, section 3.3.2, with the cache in place of GPU SRAM). Every
+token goes through the same operations as in the whole-sequence scan, so
+the output bytes are the same.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +37,6 @@ from .tensor import ShapeError, Tensor, is_recording
 
 # Below this |delta * A| the (exp(u) - 1)/A factor switches to its series.
 SERIES_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class DiscreteSSM:
-    Abar: np.ndarray  # (d, L, N), in (0, 1)
-    Bbar: np.ndarray  # (d, L, N)
 
 
 def _zoh_factors(A: np.ndarray, delta: np.ndarray):
@@ -70,13 +63,6 @@ def _zoh_factors(A: np.ndarray, delta: np.ndarray):
         phi[series] = (np.broadcast_to(delta[:, :, None], phi.shape)[series]
                        * (1.0 + 0.5 * u_series))
     return Abar, phi
-
-
-def zoh_discretize(A: np.ndarray, delta: np.ndarray, B: np.ndarray) -> DiscreteSSM:
-    """Zero-order-hold discretization of the diagonal system (A, B)."""
-    Abar, phi = _zoh_factors(np.asarray(A, float), np.asarray(delta, float))
-    phi *= np.asarray(B, float)[None, :, :]
-    return DiscreteSSM(Abar=Abar, Bbar=phi)
 
 
 # The chunked recurrence runs on sequences of at least CHUNKED_MIN_LEN
@@ -195,22 +181,6 @@ def _scan_backward(dy, x, C, Abar, Bbar, states):
     return dx, dC, dAbar, dBbar
 
 
-def scan_terms(x: np.ndarray, disc: DiscreteSSM, C: np.ndarray,
-               D: np.ndarray):
-    """One scan; returns (y, states, longrange, local).
-
-    longrange[k] = C_k . (Abar_k h_{k-1}), local[k] = C_k . (Bbar_k x_k);
-    longrange + local + D*x reproduces y exactly.
-    """
-    x = np.asarray(x, float)
-    if x.shape != disc.Abar.shape[:2]:
-        raise ShapeError(f"x {x.shape} incompatible with Abar {disc.Abar.shape}")
-    if C.shape != (x.shape[1], disc.Abar.shape[2]):
-        raise ShapeError(f"C {C.shape} incompatible with scan extents")
-    return _scan_forward(x, disc.Abar, np.array(disc.Bbar, float),
-                         np.asarray(C, float), np.asarray(D, float))
-
-
 def scan_backward(dy, x, delta, A, B, C, D, Abar, phi, states):
     """Gradients of the scan w.r.t. (x, delta, A, B, C, D).
 
@@ -245,27 +215,50 @@ def scan_backward(dy, x, delta, A, B, C, D, Abar, phi, states):
     return dx, ddelta, dA, dB, dC, dD
 
 
-def _scan_no_grad(x, delta, A, B, C, D) -> np.ndarray:
-    """y of the scan without the tape, streamed BLOCK tokens at a time with
-    the (d, N) state carried between blocks, so the (d, L, N) buffers never
-    exist whole and each block's stay in cache. A chunked recurrence needs
-    the whole sequence and runs as one block. The bytes are those of the
-    recording path."""
+def _scan_blocks(x, delta, A, B, C, D, terms: bool):
+    """(y, longrange, local) of the scan, or (y,) when not `terms`, streamed
+    BLOCK tokens at a time with the (d, N) state carried between blocks, so
+    the (d, L, N) buffers never exist whole and each block's stay in cache.
+    A chunked recurrence needs the whole sequence and runs as one block.
+    The bytes are those of the recording path."""
     d, L = x.shape
     block = L if _chunk_len(d * A.shape[1], L) else BLOCK
-    y, h = None, None
+    out, h = None, None
     for s in range(0, max(L, 1), block):
         e = min(s + block, L)
         Abar, phi = _zoh_factors(A, delta[:, s:e])
         phi *= B[None, s:e, :]
-        yb, states, _, _ = _scan_forward(x[:, s:e], Abar, phi, C[s:e], D, h)
+        y, states, longrange, local = _scan_forward(x[:, s:e], Abar, phi,
+                                                    C[s:e], D, h)
+        parts = (y, longrange, local) if terms else (y,)
         if e - s == L:
-            return yb
-        if y is None:
-            y = np.empty_like(yb, shape=(d, L))
-        y[:, s:e] = yb
+            return parts
+        if out is None:
+            out = tuple(np.empty_like(p, shape=(d, L)) for p in parts)
+        for o, p in zip(out, parts):
+            o[:, s:e] = p
         h = states[:, -1].copy()
-    return y
+    return out
+
+
+def scan_terms(x: np.ndarray, delta: np.ndarray, A: np.ndarray,
+               B: np.ndarray, C: np.ndarray, D: np.ndarray):
+    """One scan on plain arrays, run as `selective_scan_op` runs it off the
+    tape; returns (y, longrange, local).
+
+    longrange[k] = C_k . (Abar_k h_{k-1}), local[k] = C_k . (Bbar_k x_k);
+    longrange + local + D*x reproduces y exactly.
+    """
+    x, delta, A, B, C, D = (np.asarray(a, float)
+                            for a in (x, delta, A, B, C, D))
+    if (x.ndim != 2 or delta.shape != x.shape or A.ndim != 2
+            or A.shape[0] != x.shape[0]):
+        raise ShapeError(f"x {x.shape} incompatible with delta {delta.shape} "
+                         f"and A {A.shape}")
+    if B.shape != C.shape or C.shape != (x.shape[1], A.shape[1]):
+        raise ShapeError(f"B {B.shape} and C {C.shape} incompatible with "
+                         "scan extents")
+    return _scan_blocks(x, delta, A, B, C, D, True)
 
 
 def selective_scan_op(x: Tensor, delta: Tensor, A: Tensor, B: Tensor,
@@ -274,13 +267,13 @@ def selective_scan_op(x: Tensor, delta: Tensor, A: Tensor, B: Tensor,
 
     When the tape is not recording, neither the states nor a backward
     closure are kept, and plain-loop scans run block by block
-    (`_scan_no_grad`); the output bytes are those of the recording path.
+    (`_scan_blocks`); the output bytes are those of the recording path.
     """
     parents = (x, delta, A, B, C, D)
     xd, dd = x.data, delta.data
     Ad, Bd, Cd, Dd = A.data, B.data, C.data, D.data
     if not is_recording(parents):
-        return Tensor(_scan_no_grad(xd, dd, Ad, Bd, Cd, Dd))
+        return Tensor(_scan_blocks(xd, dd, Ad, Bd, Cd, Dd, False)[0])
     Abar, phi = _zoh_factors(Ad, dd)
     y, states, _, _ = _scan_forward(xd, Abar, phi * Bd[None, :, :], Cd, Dd)
 

@@ -21,22 +21,8 @@ class ContractError(ValueError):
     pass
 
 
-# Division-by-zero policy: "strict" raises, "ieee" lets Inf/NaN through.
-_DIV_MODE = "strict"
-
 # When False, ops do not record parents and backward() is unavailable.
 _GRAD_ENABLED = True
-
-
-def set_division_mode(mode: str) -> None:
-    global _DIV_MODE
-    if mode not in ("strict", "ieee"):
-        raise ValueError(f"unknown division mode {mode!r}")
-    _DIV_MODE = mode
-
-
-def division_mode() -> str:
-    return _DIV_MODE
 
 
 @contextlib.contextmanager
@@ -164,9 +150,9 @@ class Tensor:
 
     def __truediv__(self, other):
         other = Tensor._coerce(other)
-        if _DIV_MODE == "strict" and np.any(other.data == 0.0):
-            raise ZeroDivisionError("division by zero (strict mode)")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        if np.any(other.data == 0.0):
+            raise ZeroDivisionError("division by zero")
+        with np.errstate(invalid="ignore"):
             data = self.data / other.data
         a, b = self, other
 
@@ -235,17 +221,21 @@ class Tensor:
     def T(self):
         return self.transpose()
 
-    def take(self, indices: np.ndarray, axis: int = -1):
-        """Gather along `axis` with an integer index array (1-D)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        data = np.take(self.data, indices, axis=axis)
-        shape = self.shape
+    def take(self, order: np.ndarray):
+        """Reorder along axis 0: out[i] = self[order[i]], where `order` is a
+        permutation of range(len(self)). The backward gathers the gradient
+        with the inverse permutation."""
+        order = np.asarray(order, dtype=np.int64)
+        n = self.shape[0]
+        inverse = np.full(n, -1, dtype=np.int64)
+        if order.shape == (n,) and np.all((order >= 0) & (order < n)):
+            inverse[order] = np.arange(n)
+        if np.any(inverse < 0):
+            raise ContractError(f"take needs a permutation of range({n})")
+        data = np.take(self.data, order, axis=0)
 
         def backward(grad):
-            out = np.zeros(shape)
-            np.add.at(np.swapaxes(out, axis, -1), (..., indices),
-                      np.swapaxes(grad, axis, -1))
-            return (out,)
+            return (np.take(grad, inverse, axis=0),)
 
         return Tensor.from_op(data, (self,), backward)
 

@@ -19,7 +19,7 @@ from modem.model import load_checkpoint
 from modem.scan_orders import (build_order, morton_decode,
                                morton_decode_array, morton_encode,
                                morton_encode_array)
-from modem.ssm import scan_terms, zoh_discretize, _zoh_factors
+from modem.ssm import scan_terms, _zoh_factors
 from modem.tensor import Tensor
 from modem.train import train_stage1, train_stage2
 from test_scan_orders import interleave_oracle
@@ -89,9 +89,9 @@ def test_criterion_04_selective_scan_oracle():
     worst = 0.0
     for _ in range(200):
         x, delta, A, B, C, D = random_instance(rng)
-        disc = zoh_discretize(A, delta, B)
-        y, _, _, _ = scan_terms(x, disc, C, D)
-        expect = unrolled_oracle(x, disc.Abar, disc.Bbar, C, D)
+        Abar, phi = _zoh_factors(A, delta)
+        y, _, _ = scan_terms(x, delta, A, B, C, D)
+        expect = unrolled_oracle(x, Abar, phi * B, C, D)
         worst = max(worst, float(np.max(np.abs(y - expect))))
     assert worst < 1e-10, f"worst {worst:.2e}"
     elapsed = time.monotonic() - t0
@@ -100,10 +100,10 @@ def test_criterion_04_selective_scan_oracle():
 
 
 def test_criterion_05_zoh_analytic():
-    disc = zoh_discretize(np.array([[-1.0]]), np.array([[np.log(2.0)]]),
-                          np.array([[1.0]]))
-    assert abs(disc.Abar[0, 0, 0] - 0.5) < 1e-14
-    assert abs(disc.Bbar[0, 0, 0] - 0.5) < 1e-14
+    Abar, phi = _zoh_factors(np.array([[-1.0]]), np.array([[np.log(2.0)]]))
+    Bbar = phi * np.array([[1.0]])
+    assert abs(Abar[0, 0, 0] - 0.5) < 1e-14
+    assert abs(Bbar[0, 0, 0] - 0.5) < 1e-14
     # delta -> 0 limits are exact
     Abar0, phi0 = _zoh_factors(np.array([[-2.0]]), np.array([[0.0]]))
     assert Abar0[0, 0, 0] == 1.0 and phi0[0, 0, 0] == 0.0
@@ -124,9 +124,7 @@ def test_criterion_06_decomposition_identity():
     rng = np.random.default_rng(7)
     for _ in range(100):
         x, delta, A, B, C, D = random_instance(rng)
-        disc = zoh_discretize(A, delta, B)
-        y, _, _, _ = scan_terms(x, disc, C, D)
-        _, _, longrange, local = scan_terms(x, disc, C, D)
+        y, longrange, local = scan_terms(x, delta, A, B, C, D)
         assert np.max(np.abs(longrange + local + D[:, None] * x - y)) < 1e-14
         assert np.all(longrange[:, 0] == 0.0)
     report(6, "long-range/local decomposition identity")

@@ -11,43 +11,45 @@ from modem.blocks import (CAB, DSAM, MDSL, MOS2D, DAFMAdapter,
 from modem.tensor import ContractError, Tensor, no_grad
 
 
+C_D, C_D1, C_D2 = 5, 3, 4          # toy prior widths
+
+
 def toy_cfg(**kw):
-    base = dict(channels=4, d_state=3, dt_rank=2, c_d=5, c_d1=3, c_d2=4,
-                conditioned=True)
+    base = dict(channels=4, d_state=3, dt_rank=2, conditioned=True)
     base.update(kw)
     return MOS2DConfig(**base)
 
 
-def toy_priors(rng, cfg):
+def toy_priors(rng):
     return DegradationPriors(
-        z_tilde=Tensor(rng.normal(size=4 * cfg.c_d)),
-        z0=Tensor(rng.normal(size=cfg.c_d)),
-        z1=Tensor(rng.normal(size=(cfg.c_d1, cfg.c_d2))),
+        z_tilde=Tensor(rng.normal(size=4 * C_D)),
+        z0=Tensor(rng.normal(size=C_D)),
+        z1=Tensor(rng.normal(size=(C_D1, C_D2))),
     )
 
 
 def toy_cond(rng, cfg):
-    adapter = DAFMAdapter(cfg.c_d, cfg.d_inner)
+    adapter = DAFMAdapter(C_D, cfg.channels)
     adapter.proj.weight.data = rng.normal(scale=0.2,
                                           size=adapter.proj.weight.shape)
-    dsam = DSAM(cfg.d_inner, cfg.d_attn, cfg.c_d1, cfg.c_d2, rng)
-    return LevelConditioning.from_priors(adapter, dsam, toy_priors(rng, cfg))
+    dsam = DSAM(cfg.channels, cfg.d_attn, C_D1, C_D2, rng)
+    return LevelConditioning.from_priors(adapter, dsam, toy_priors(rng))
 
 
 class TestDAFM:
     def test_identity_at_init(self, rng):
         adapter = DAFMAdapter(5, 4)
-        feat = Tensor(rng.normal(size=(4, 3, 3)))
+        tokens = Tensor(rng.normal(size=(9, 4)))
         scale, bias = adapter(Tensor(rng.normal(size=5)))
-        out = dafm_apply(feat, scale, bias)
-        np.testing.assert_array_equal(out.data, feat.data)
+        out = dafm_apply(tokens, scale, bias)
+        np.testing.assert_array_equal(out.data, tokens.data)
 
     def test_affine_semantics(self, rng):
-        feat = Tensor(rng.normal(size=(2, 2, 2)))
-        out = dafm_apply(feat, Tensor(np.array([2.0, -1.0])),
+        tokens = Tensor(rng.normal(size=(4, 2)))
+        out = dafm_apply(tokens, Tensor(np.array([2.0, -1.0])),
                          Tensor(np.array([0.5, 3.0])))
-        np.testing.assert_allclose(out.data[0], feat.data[0] * 2.0 + 0.5)
-        np.testing.assert_allclose(out.data[1], -feat.data[1] + 3.0)
+        np.testing.assert_allclose(out.data[:, 0], tokens.data[:, 0] * 2.0 + 0.5)
+        np.testing.assert_allclose(out.data[:, 1], -tokens.data[:, 1] + 3.0)
 
 
 class TestDSAM:
@@ -178,7 +180,7 @@ class TestMOS2D:
         assert len(seen) == (4 if bidirectional else 2)
         directions = set()
         for (d, L, N), h_strides, a_strides in seen:
-            assert (d, L, N) == (cfg.d_inner, 64, cfg.d_state)
+            assert (d, L, N) == (cfg.channels, 64, cfg.d_state)
             for sd, sl, sn in (h_strides, a_strides):
                 assert (sd, abs(sl), sn) == (8 * N, 8 * d * N, 8)
             directions.add(h_strides[1] > 0)
@@ -216,7 +218,7 @@ class TestMOS2D:
         # each direction's scan is streamed in blocks
         from modem import ssm
         cfg = toy_cfg(channels=16, d_state=8, bidirectional=bidirectional)
-        assert cfg.d_inner * cfg.d_state > ssm.CHUNKED_MAX_DN
+        assert cfg.channels * cfg.d_state > ssm.CHUNKED_MAX_DN
         H, W = 17, 16
         assert H * W > ssm.BLOCK
         block = MOS2D(cfg, rng)

@@ -54,6 +54,15 @@ class TestScanCompare:
         assert exc.value.code == 2
         assert argv[0] in capsys.readouterr().err
 
+    def test_grid_too_large_is_usage_error(self, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("modem.cli.build_order", no_memory)
+        assert main(["scan-compare", "--height", "3000000", "--width",
+                     "3000000", "--kinds", "raster"]) == 2
+        assert "3000000x3000000" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_exits_zero(self, capsys):

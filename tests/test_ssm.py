@@ -8,7 +8,7 @@ import pytest
 
 from modem import ssm
 from modem.ssm import (SERIES_THRESHOLD, scan_backward, scan_terms,
-                       selective_scan_op, zoh_discretize, _zoh_factors)
+                       selective_scan_op, _zoh_factors)
 from modem.tensor import Tensor, no_grad
 
 from test_tensor import fd_grad
@@ -103,10 +103,10 @@ def random_instance(rng, d=None, N=None, L=None):
 class TestZOH:
     def test_analytic_point(self):
         # A=-1, delta=ln 2: Abar = exp(-ln 2) = 1/2, Bbar = (1 - 1/2)/1 = 1/2
-        disc = zoh_discretize(np.array([[-1.0]]), np.array([[np.log(2.0)]]),
-                              np.array([[1.0]]))
-        assert abs(disc.Abar[0, 0, 0] - 0.5) < 1e-14
-        assert abs(disc.Bbar[0, 0, 0] - 0.5) < 1e-14
+        Abar, phi = _zoh_factors(np.array([[-1.0]]), np.array([[np.log(2.0)]]))
+        Bbar = phi * np.array([[1.0]])
+        assert abs(Abar[0, 0, 0] - 0.5) < 1e-14
+        assert abs(Bbar[0, 0, 0] - 0.5) < 1e-14
 
     def test_series_branch_vs_high_precision(self):
         # |delta*A| below the switch: compare against 128-bit arithmetic
@@ -136,8 +136,8 @@ class TestZOH:
 
     def test_abar_in_unit_interval(self, rng):
         x, delta, A, B, C, D = random_instance(rng)
-        disc = zoh_discretize(A, delta, B)
-        assert np.all(disc.Abar > 0) and np.all(disc.Abar < 1)
+        Abar, _ = _zoh_factors(A, delta)
+        assert np.all(Abar > 0) and np.all(Abar < 1)
 
     def test_factors_bit_identical_to_both_branch_reference(self, rng):
         def wide(d, L, N):        # |delta*A| far above the series threshold
@@ -177,23 +177,20 @@ class TestScan:
     def test_matches_unrolled_oracle(self, rng):
         for _ in range(50):
             x, delta, A, B, C, D = random_instance(rng)
-            disc = zoh_discretize(A, delta, B)
-            y, _, _, _ = scan_terms(x, disc, C, D)
-            expect = unrolled_oracle(x, disc.Abar, disc.Bbar, C, D)
+            Abar, phi = _zoh_factors(A, delta)
+            y, _, _ = scan_terms(x, delta, A, B, C, D)
+            expect = unrolled_oracle(x, Abar, phi * B, C, D)
             assert np.max(np.abs(y - expect)) < 1e-10
 
     def test_decomposition_identity_bit_exact(self, rng):
         for _ in range(20):
             x, delta, A, B, C, D = random_instance(rng)
-            disc = zoh_discretize(A, delta, B)
-            y, _, _, _ = scan_terms(x, disc, C, D)
-            _, _, longrange, local = scan_terms(x, disc, C, D)
+            y, longrange, local = scan_terms(x, delta, A, B, C, D)
             np.testing.assert_array_equal(longrange + local + D[:, None] * x, y)
 
     def test_first_step_longrange_zero(self, rng):
         x, delta, A, B, C, D = random_instance(rng)
-        disc = zoh_discretize(A, delta, B)
-        _, _, longrange, _ = scan_terms(x, disc, C, D)
+        _, longrange, _ = scan_terms(x, delta, A, B, C, D)
         np.testing.assert_array_equal(longrange[:, 0], 0.0)
 
     def test_long_sequence_stability(self, rng):
@@ -205,17 +202,58 @@ class TestScan:
         C = rng.normal(size=(L, N))
         D = np.zeros(d)
         x = rng.normal(size=(d, L))
-        y, states, _, _ = scan_terms(x, zoh_discretize(A, delta, B), C, D)
+        Abar, phi = _zoh_factors(A, delta)
+        y, states, _, _ = ssm._scan_forward(x, Abar, phi * B, C, D)
         assert np.all(np.isfinite(y))
         assert np.max(np.abs(states)) < 1e4
 
     def test_shape_errors(self, rng):
         x, delta, A, B, C, D = random_instance(rng, d=2, N=3, L=4)
-        disc = zoh_discretize(A, delta, B)
         with pytest.raises(ValueError):
-            scan_terms(x[:, :3], disc, C, D)
+            scan_terms(x[:, :3], delta, A, B, C, D)
         with pytest.raises(ValueError):
-            scan_terms(x, disc, C[:3], D)
+            scan_terms(x, delta, A, B, C[:3], D)
+
+    @pytest.mark.parametrize("token_major", [False, True])
+    @pytest.mark.parametrize("L", [1, 255, 256, 257, 773])
+    def test_terms_match_sequential(self, rng, L, token_major):
+        # d*N above CHUNKED_MAX_DN: streamed in blocks, on either side of
+        # each block edge, in C order and token-major as MOS2D hands them
+        x, delta, A, B, C, D = random_instance(rng, d=16, N=8, L=L)
+        if token_major:
+            x, delta = (np.ascontiguousarray(a.T).T for a in (x, delta))
+        Abar, phi = _zoh_factors(A, delta)
+        want = sequential_forward(x, Abar, phi * B, C, D)
+        got = scan_terms(x, delta, A, B, C, D)
+        for g, w in zip(got, (want[0], want[2], want[3])):
+            assert rel_err(g, w) < 1e-12
+
+    def test_every_path_calls_the_kernels_through_the_module(self, rng,
+                                                              monkeypatch):
+        # the benchmark's tracer and negative controls patch these names
+        from modem.blocks import MOS2D, MOS2DConfig
+        calls = []
+        for name in ("_zoh_factors", "_scan_forward"):
+            def spy(*args, _name=name, _orig=getattr(ssm, name)):
+                calls.append(_name)
+                return _orig(*args)
+            monkeypatch.setattr(ssm, name, spy)
+        arrays = random_instance(rng, d=16, N=8, L=300)
+
+        def run(fn):
+            calls.clear()
+            fn()
+            return sorted(set(calls))
+
+        kernels = ["_scan_forward", "_zoh_factors"]
+        assert run(lambda: selective_scan_op(
+            *[Tensor(a, requires_grad=True) for a in arrays])) == kernels
+        with no_grad():
+            assert run(lambda: selective_scan_op(
+                *[Tensor(a, requires_grad=True) for a in arrays])) == kernels
+        block = MOS2D(MOS2DConfig(channels=4, d_state=3, dt_rank=2), rng)
+        assert run(lambda: block.decompose(
+            Tensor(rng.normal(size=(4, 4, 4))))) == kernels
 
 
 class TestScanGradients:
@@ -240,8 +278,8 @@ class TestScanGradients:
             loss_t().backward()
 
             def loss_np(vals):
-                disc = zoh_discretize(vals["A"], vals["delta"], vals["B"])
-                y, _, _, _ = scan_terms(vals["x"], disc, vals["C"], vals["D"])
+                y, _, _ = scan_terms(vals["x"], vals["delta"], vals["A"],
+                                     vals["B"], vals["C"], vals["D"])
                 return float((y * w).sum())
 
             for name, t in tensors.items():
@@ -272,8 +310,7 @@ class TestScanGradients:
             assert np.all(np.isfinite(v.grad))
         # dA via central FD with a large step relative to delta*A curvature
         def f(a):
-            disc = zoh_discretize(a, delta, B)
-            y, _, _, _ = scan_terms(x, disc, C, D)
+            y, _, _ = scan_terms(x, delta, a, B, C, D)
             return float(y.sum())
         fd = fd_grad(f, A.copy(), eps=1e-5)
         np.testing.assert_allclose(t["A"].grad, fd, rtol=1e-4, atol=1e-10)
@@ -309,14 +346,15 @@ class TestChunkedKernel:
                                        (2, 100, 3), (3, 63, 2)])
     def test_forward_and_backward_match_sequential(self, rng, d, L, N):
         x, delta, A, B, C, D = random_instance(rng, d=d, N=N, L=L)
-        disc = zoh_discretize(A, delta, B)
-        want = sequential_forward(x, disc.Abar, disc.Bbar, C, D)
-        got = ssm._scan_forward(x, disc.Abar, disc.Bbar.copy(), C, D)
+        Abar, phi = _zoh_factors(A, delta)
+        Bbar = phi * B
+        want = sequential_forward(x, Abar, Bbar, C, D)
+        got = ssm._scan_forward(x, Abar, Bbar.copy(), C, D)
         for g, w in zip(got, want):
             assert rel_err(g, w) < 1e-12
         dy = rng.normal(size=(d, L))
-        want = sequential_backward(dy, x, C, disc.Abar, disc.Bbar, want[1])
-        got = ssm._scan_backward(dy, x, C, disc.Abar, disc.Bbar, got[1])
+        want = sequential_backward(dy, x, C, Abar, Bbar, want[1])
+        got = ssm._scan_backward(dy, x, C, Abar, Bbar, got[1])
         for g, w in zip(got, want):
             assert rel_err(g, w) < 1e-12
 
@@ -338,8 +376,8 @@ class TestChunkedKernel:
         (selective_scan_op(*tensors.values()) * Tensor(w)).sum().backward()
 
         def loss_np(vals):
-            disc = zoh_discretize(vals["A"], vals["delta"], vals["B"])
-            y, _, _, _ = scan_terms(vals["x"], disc, vals["C"], vals["D"])
+            y, _, _ = scan_terms(vals["x"], vals["delta"], vals["A"],
+                                 vals["B"], vals["C"], vals["D"])
             return float((y * w).sum())
 
         for name, t in tensors.items():
@@ -374,13 +412,8 @@ class TestChunkedKernel:
             assert not no_grad_path.requires_grad
             assert no_grad_path._backward is None
             grad_path.sum().backward()
-            x, delta, A, B, C, D = arrays
-            disc = zoh_discretize(A, delta, B)
-            kept = [disc.Abar.copy(), disc.Bbar.copy()]
-            scan_terms(x, disc, C, D)
+            scan_terms(*arrays)
             for a, b in zip(arrays, saved):
-                assert a.tobytes() == b.tobytes()
-            for a, b in zip((disc.Abar, disc.Bbar), kept):
                 assert a.tobytes() == b.tobytes()
 
     def test_no_grad_scan_memory_is_per_block(self):

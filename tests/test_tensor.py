@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modem.tensor import (ShapeError, Tensor, division_mode, no_grad,
-                          set_division_mode)
+from modem.tensor import ContractError, ShapeError, Tensor, no_grad
 
 EPS = 1e-6
 
@@ -145,20 +144,9 @@ class TestElementwise:
 
 
 class TestDivision:
-    def test_strict_mode_default(self):
-        assert division_mode() == "strict"
-
     def test_strict_raises_on_zero(self):
         with pytest.raises(ZeroDivisionError):
             Tensor(np.ones(3)) / Tensor(np.array([1.0, 0.0, 2.0]))
-
-    def test_ieee_mode_propagates(self):
-        set_division_mode("ieee")
-        try:
-            out = Tensor(np.ones(2)) / Tensor(np.array([0.0, 2.0]))
-            assert np.isinf(out.data[0]) and out.data[1] == 0.5
-        finally:
-            set_division_mode("strict")
 
     def test_div_grad(self, rng):
         ad = rng.normal(size=4)
@@ -182,15 +170,38 @@ class TestShapeOps:
         perm = np.array([3, 1, 4, 0, 2])
         x = Tensor(d.copy(), requires_grad=True)
         w = rng.normal(size=(5, 3))
-        (x.take(perm, axis=0) * Tensor(w)).sum().backward()
+        (x.take(perm) * Tensor(w)).sum().backward()
         expect = np.zeros_like(d)
         expect[perm] = w
         np.testing.assert_array_equal(x.grad, expect)
 
-    def test_take_repeated_indices_accumulate(self):
+    def test_take_grad_fd(self, rng):
+        d = rng.normal(size=(7, 3))
+        perm = rng.permutation(7)
+        w = rng.normal(size=(7, 3))
+        x = Tensor(d.copy(), requires_grad=True)
+        ((x.take(perm) ** 2) * Tensor(w)).sum().backward()
+        np.testing.assert_allclose(
+            x.grad, fd_grad(lambda a: float((a[perm] ** 2 * w).sum()),
+                            d.copy()), rtol=1e-5, atol=1e-7)
+
+    def test_take_backward_bytes_equal_scatter_add(self, rng):
+        # the inverse gather against the general gather's scatter-add rule
+        for shape in ((1000,), (513, 7), (64, 3, 5)):
+            perm = rng.permutation(shape[0])
+            grad = rng.normal(size=shape)
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            (x.take(perm) * Tensor(grad)).sum().backward()
+            want = np.zeros(shape)
+            np.add.at(want, perm, grad)
+            assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1], [0, 1, 2, 3],
+                                       [0, 1, 3], [-1, 0, 1], [[0, 1, 2]]])
+    def test_take_rejects_non_permutation(self, order):
         x = Tensor(np.arange(3.0), requires_grad=True)
-        x.take(np.array([0, 0, 2]), axis=0).sum().backward()
-        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+        with pytest.raises(ContractError):
+            x.take(np.array(order))
 
     def test_concat_grad(self, rng):
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
