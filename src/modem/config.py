@@ -18,6 +18,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _at_least_one(section, path: str, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if value < 1:
+            raise ConfigError(f"{path}.{name}: {value} is below 1")
+
+
 @dataclass(frozen=True)
 class DataConfig:
     n_train: int = 8
@@ -27,6 +34,7 @@ class DataConfig:
     severity: tuple[float, float] = (0.3, 0.6)
 
     def __post_init__(self):
+        _at_least_one(self, "data", ("n_train", "n_heldout"))
         if self.patch < SSIM_WINDOW:
             raise ConfigError(f"data.patch: {self.patch} is below {SSIM_WINDOW}, "
                               "the SSIM window held-out patches are scored with")
@@ -59,6 +67,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in (1, 2):
             raise ConfigError(f"train.stage: {self.stage} is not 1 or 2")
+        _at_least_one(self, "train", ("iterations", "batch_size", "log_every"))
+        for i, b in enumerate(self.betas):
+            # a beta of 1 zeroes AdamW's bias correction: every weight NaN
+            if not 0.0 <= b < 1.0:
+                raise ConfigError(f"train.betas[{i}]: {b} is not in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,23 @@ from __future__ import annotations
 import os
 import stat
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write to a temp file in the target directory, then rename over path."""
+def atomic_write(path: str, parts: Iterable) -> None:
+    """Write the bytes-like `parts` (bytes, C-contiguous arrays), one after
+    another, to a temp file in the target directory, then rename it over
+    path. Each part goes to the file from its own buffer: no joined copy
+    of the payload is made."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(payload)
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -25,7 +30,7 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write(path, [text.encode("utf-8")])
 
 
 class PPMFormatError(ValueError):
@@ -41,7 +46,7 @@ def write_ppm(path: str, image: np.ndarray) -> None:
     pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     header = f"P6\n{W} {H}\n255\n".encode("ascii")
     body = pixels.transpose(1, 2, 0).tobytes()
-    atomic_write_bytes(path, header + body)
+    atomic_write(path, [header, body])
 
 
 def _read_token(f) -> bytes:

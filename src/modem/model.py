@@ -13,7 +13,7 @@ import numpy as np
 from . import ops
 from .blocks import (DSAM, MDSL, DAFMAdapter, DegradationPriors,
                      LevelConditioning, MOS2DConfig)
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write
 from .nn import Conv2d, Linear, Module
 from .tensor import ContractError, Tensor
 
@@ -224,16 +224,22 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], stage: int) -> No
     """Atomic write (temp + rename, creating the directory); load(save(x))
     is bit-exact, shapes included.
 
-    Each array goes into the payload through its buffer, so the payload is
-    the only copy of the data made (0-d arrays stay 0-d)."""
-    parts = [MAGIC, struct.pack("<II B", VERSION, len(tensors), stage)]
-    for name, arr in tensors.items():
-        data = np.require(arr, "<f8", "C")
-        raw_name = name.encode("utf-8")
-        parts += [struct.pack("<H", len(raw_name)), raw_name,
-                  struct.pack("<B", data.ndim),
-                  struct.pack(f"<{data.ndim}Q", *data.shape), data]
-    atomic_write_bytes(path, b"".join(parts))
+    Each C-contiguous float64 array is written to the file from its own
+    buffer, so saving a model's live weights copies none of them; any
+    other array is converted one at a time (0-d arrays stay 0-d)."""
+    def parts():
+        yield MAGIC
+        yield struct.pack("<II B", VERSION, len(tensors), stage)
+        for name, arr in tensors.items():
+            data = np.require(arr, "<f8", "C")
+            raw_name = name.encode("utf-8")
+            yield struct.pack("<H", len(raw_name))
+            yield raw_name
+            yield struct.pack("<B", data.ndim)
+            yield struct.pack(f"<{data.ndim}Q", *data.shape)
+            yield data
+
+    atomic_write(path, parts())
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:

@@ -7,39 +7,90 @@ import numpy as np
 from .tensor import Tensor
 
 
+# values per chunk of AdamW's update: the two float64 scratch chunks and
+# the matching slices of p, g, m and v (768 KiB) stay in L2 together
+CHUNK = 16384
+
+
 class AdamW:
+    """Adam with decoupled weight decay (Loshchilov & Hutter, 1711.05101).
+
+    The optimizer owns its parameters' arrays: `step` writes each `p.data`
+    and its moments in place, through flat views, and never rebinds them.
+    Every parameter must therefore hold a C-contiguous, writeable float64
+    array, which is checked here and at each step; replacing `p.data`
+    after construction is allowed only with an array of the same kind.
+    """
+
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
                  betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 1e-4):
+        for name, p in params.items():
+            _flat(p.data, name)
         self.params = params
         self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
 
     def step(self, lr: float | None = None) -> None:
+        """One update of every parameter, chunk by chunk; per value the
+        float operations are those of the whole-array rule
+            m = m*b1 + (1-b1)*g;  v = v*b2 + ((1-b2)*g)*g
+            p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
+        in that order, so the results are the same bits. A parameter
+        without a gradient is updated as if its gradient were zero."""
         lr = self.lr if lr is None else lr
         self.t += 1
         b1, b2 = self.betas
+        c1, c2 = 1 - b1, 1 - b2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
+        eps, wd = self.eps, self.weight_decay
+        scratch_a = np.empty(CHUNK)
+        scratch_b = np.empty(CHUNK)
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - lr * (update + self.weight_decay * p.data)
+            pf = _flat(p.data, name)
+            mf = self.m[name].reshape(-1)
+            vf = self.v[name].reshape(-1)
+            gf = np.zeros(pf.size) if p.grad is None else np.ravel(p.grad)
+            for lo in range(0, pf.size, CHUNK):
+                hi = min(lo + CHUNK, pf.size)
+                a = scratch_a[: hi - lo]
+                b = scratch_b[: hi - lo]
+                g, m, v, w = gf[lo:hi], mf[lo:hi], vf[lo:hi], pf[lo:hi]
+                m *= b1
+                np.multiply(g, c1, out=a)
+                m += a
+                v *= b2
+                np.multiply(g, c2, out=a)
+                a *= g
+                v += a
+                np.divide(v, bc2, out=a)
+                np.sqrt(a, out=a)
+                a += eps
+                np.divide(m, bc1, out=b)
+                b /= a
+                np.multiply(w, wd, out=a)
+                b += a
+                b *= lr
+                w -= b
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+
+def _flat(a: np.ndarray, name: str) -> np.ndarray:
+    """A flat view of a parameter array, which must be C-contiguous,
+    writeable float64 so that the view writes through."""
+    if not (a.flags.c_contiguous and a.flags.writeable and a.dtype == np.float64):
+        raise ValueError(f"AdamW parameter {name} must be a C-contiguous, "
+                         "writeable float64 array")
+    return a.reshape(-1)
 
 
 class CosineRestartSchedule:

@@ -426,10 +426,12 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad and node._backward is None:
-                # Leaf parameter: accumulate.
+                # Leaf parameter: accumulate. The first gradient is written
+                # in one pass; g + 0.0 rounds as 0.0 + g does, -0.0 included
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                    node.grad = np.add(g, 0.0, out=np.empty_like(node.data, order="C"))
+                else:
+                    node.grad += g
             if node._backward is None:
                 continue
             parent_grads = node._backward(g)

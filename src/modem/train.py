@@ -105,6 +105,21 @@ def _inherit_stage1(student: RestorationModel,
         p.data = src.copy()
 
 
+def _check_gradients(params: dict[str, Tensor], step: int) -> None:
+    """Raise TrainingDivergedError before a non-finite gradient reaches the
+    optimizer, whose in-place moments would keep it for good. A finite sum
+    of squares proves every value finite; only a non-finite one (or an
+    overflow) is checked value by value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            if p.grad is None:
+                continue
+            g = p.grad.reshape(-1)
+            if not np.isfinite(g @ g) and not np.isfinite(g).all():
+                raise TrainingDivergedError(
+                    f"non-finite gradient of {name} at step {step}")
+
+
 def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
               teacher: DDEM | None, train_set: list[SynthSample],
               heldout: list[SynthSample], tag: str) -> TrainResult:
@@ -154,12 +169,18 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
             kl_field = _fmt(kl_m) if stage == 2 else ""
             rows.append(f"{step},{_fmt(l1_m)},{_fmt(cor_m)},{kl_field},"
                         f"{_fmt(total)},{_fmt(lr)}")
+        _check_gradients(params, step)
         opt.step(lr=lr)
 
+    # the gradients and moments are dead weight from here on; the
+    # checkpoint is written from the live weights, not from copies
+    model.zero_grad()
+    del opt
     csv_path = os.path.join(cfg.output_dir, f"loss_{tag}.csv")
     atomic_write_text(csv_path, "\n".join(rows) + "\n")
     ckpt_path = os.path.join(cfg.output_dir, f"{tag}.ckpt")
-    save_checkpoint(ckpt_path, model.state(), stage=stage)
+    save_checkpoint(ckpt_path, {k: p.data for k, p in model.parameters().items()},
+                    stage=stage)
 
     p_deg, p_res, s_res = evaluate(model, heldout, stage)
     k = min(10, len(totals))
@@ -204,6 +225,7 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str) -> TrainResult:
 
     student = build_model(cfg, stage=2, draw=False)
     _inherit_stage1(student, tensors)
+    del tensors  # the teacher holds its arrays, the student its copies
 
     train_set, heldout = _datasets(cfg)
     result = _run_loop(cfg, student, 2, teacher, train_set, heldout, "stage2")

@@ -99,6 +99,23 @@ class TestTrain:
         assert "train.iterations" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "run"))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", 0),       # was ZeroDivisionError, exit 1
+        ("train", "iterations", 0),       # was IndexError, exit 1
+        ("train", "log_every", 0),        # was ZeroDivisionError, exit 1
+        ("train", "betas", [1.0, 0.999]),  # was exit 0 with NaN weights
+        ("data", "n_heldout", 0),         # was exit 0 with psnr nan
+        ("data", "n_train", 0),           # was "error: high <= 0"
+    ])
+    def test_setting_that_breaks_a_run_usage_error(self, tmp_path, capsys,
+                                                   section, key, value):
+        payload = toy_run_config(str(tmp_path / "run"))
+        payload[section][key] = value
+        assert main(["train", "--stage", "1",
+                     "--config", write_cfg(tmp_path, payload)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "run"))
+
     def test_non_integer_seed_usage_error(self, tmp_path, capsys,
                                           monkeypatch):
         monkeypatch.setenv("MODEM_SEED", "abc")

@@ -89,6 +89,32 @@ class TestTypes:
         with pytest.raises(ConfigError, match=path):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("train", "batch_size", 0, r"train\.batch_size"),
+        ("train", "iterations", 0, r"train\.iterations"),
+        ("train", "iterations", -3, r"train\.iterations"),
+        ("train", "log_every", 0, r"train\.log_every"),
+        ("train", "betas", [1.0, 0.999], r"train\.betas\[0\]"),
+        ("train", "betas", [0.9, 1], r"train\.betas\[1\]"),
+        ("train", "betas", [-0.1, 0.999], r"train\.betas\[0\]"),
+        ("data", "n_heldout", 0, r"data\.n_heldout"),
+        ("data", "n_train", 0, r"data\.n_train"),
+    ])
+    def test_setting_that_breaks_a_run_names_the_key(self, section, key,
+                                                     value, path):
+        payload = toy_run_config("out")
+        payload[section][key] = value
+        with pytest.raises(ConfigError, match=path):
+            config_from_dict(payload)
+
+    def test_smallest_working_settings_accepted(self):
+        payload = toy_run_config("out")
+        payload["train"].update(batch_size=1, iterations=1, log_every=1,
+                                betas=[0, 0.5])
+        payload["data"].update(n_train=1, n_heldout=1)
+        cfg = config_from_dict(payload)
+        assert cfg.train.betas == (0, 0.5) and cfg.data.n_train == 1
+
     def test_wrong_top_level_types(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"seed": "3"})

@@ -141,6 +141,43 @@ class TestCheckpoint:
         for k in tensors:
             assert loaded[k].tobytes() == tensors[k].tobytes()
 
+    @pytest.mark.parametrize("arr", [
+        np.array(3.5), np.empty(0), np.empty((2, 0, 3)),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(6.0)[::2], np.arange(5, dtype=np.float32) / 3,
+        np.arange(4, dtype=np.int64), np.arange(3.0).astype(">f8"),
+    ], ids=["0d", "empty", "empty-3d", "f-order", "strided", "float32",
+            "int64", "big-endian"])
+    def test_bytes_equal_joined_payload(self, tmp_path, rng, arr):
+        """The streamed file equals the payload the old joined writer
+        built, for every kind of array the writer converts or skips."""
+        tensors = {"first": rng.normal(size=(2, 3)), "odd": arr,
+                   "last": np.array(-0.0)}
+        parts = [b"MODM", struct.pack("<II B", 1, len(tensors), 2)]
+        for name, a in tensors.items():
+            data = np.require(a, "<f8", "C")
+            parts += [struct.pack("<H", len(name)), name.encode(),
+                      struct.pack("<B", data.ndim),
+                      struct.pack(f"<{data.ndim}Q", *data.shape), data]
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, tensors, stage=2)
+        assert open(path, "rb").read() == b"".join(parts)
+
+    def test_save_streams_live_arrays(self, tmp_path, rng):
+        """Saving 64 MB of C-contiguous float64 allocates next to nothing:
+        no copy of any array and no joined payload."""
+        tensors = {f"w{i}": rng.normal(size=(1024, 1024)) for i in range(8)}
+        path = str(tmp_path / "big.ckpt")
+        save_checkpoint(str(tmp_path / "warm.ckpt"), {"w": np.ones(2)}, 1)
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, tensors, stage=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(path) > 64 * 2**20
+        assert peak < 256 * 1024
+
     def test_truncated_file_rejected(self, tmp_path, rng):
         path = str(tmp_path / "trunc.ckpt")
         save_checkpoint(path, {"w": rng.normal(size=(4, 4))}, stage=1)

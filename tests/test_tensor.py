@@ -307,6 +307,65 @@ class TestGraph:
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
 
+class TestLeafGradient:
+    """A leaf's first gradient is written in one pass; its bytes must equal
+    those of the zero-fill-then-add rule it replaced."""
+
+    @staticmethod
+    def arrive(leaf, g):
+        # a tape node whose backward hands exactly `g` to the leaf
+        out = Tensor.from_op(leaf.data.copy(), (leaf,), lambda grad: (g,))
+        out.sum().backward()
+
+    @staticmethod
+    def signed_zeros(a):
+        a = a.copy()
+        a.reshape(-1)[::3] = -0.0
+        a.reshape(-1)[1::3] = 0.0
+        return a
+
+    @pytest.mark.parametrize("make_g", [
+        lambda t: t.T,                                     # transposed view
+        lambda t: np.broadcast_to(t.T[:1], (4, 6)),        # one row, broadcast
+        lambda t: np.broadcast_to(np.array(-0.0), (4, 6)),
+    ], ids=["transposed", "broadcast-row", "broadcast-minus-zero"])
+    def test_first_gradient_bytes_equal_zero_fill_then_add(self, rng, make_g):
+        leaf = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        g = make_g(self.signed_zeros(rng.normal(size=(6, 4))))
+        ref = np.zeros_like(leaf.data)
+        ref += g
+        self.arrive(leaf, g)
+        assert leaf.grad.flags.c_contiguous
+        assert leaf.grad.tobytes() == ref.tobytes()
+        # 0.0 + -0.0 is +0.0: no zero keeps its sign bit
+        assert not np.signbit(leaf.grad[leaf.grad == 0.0]).any()
+
+    def test_f_ordered_leaf_gets_c_ordered_gradient(self, rng):
+        leaf = Tensor(np.asfortranarray(rng.normal(size=(3, 5))),
+                      requires_grad=True)
+        g = self.signed_zeros(rng.normal(size=(3, 5)))
+        self.arrive(leaf, g)
+        assert leaf.grad.flags.c_contiguous
+        assert leaf.grad.tobytes() == (np.zeros((3, 5)) + g).tobytes()
+
+    def test_later_gradients_accumulate_in_place(self, rng):
+        leaf = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        g1, g2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        self.arrive(leaf, g1)
+        first = leaf.grad
+        self.arrive(leaf, g2)
+        assert leaf.grad is first
+        ref = np.zeros((2, 3))
+        ref += g1
+        ref += g2
+        assert leaf.grad.tobytes() == ref.tobytes()
+
+    def test_scalar_leaf(self):
+        leaf = Tensor(np.array(2.0), requires_grad=True)
+        self.arrive(leaf, np.array(-0.0))
+        assert leaf.grad.shape == () and not np.signbit(leaf.grad)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
 def test_softmax_sums_to_one(vals):

@@ -1,14 +1,32 @@
 """Optimizer arithmetic, schedule shape, and the two training stages."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import toy_run_config
+from modem import train
 from modem.config import RunConfig, config_from_dict
 from modem.model import load_checkpoint
-from modem.optim import AdamW, CosineRestartSchedule
+from modem.optim import CHUNK, AdamW, CosineRestartSchedule
 from modem.tensor import Tensor
-from modem.train import build_model, train_stage1, train_stage2
+from modem.train import (TrainingDivergedError, build_model, train_stage1,
+                         train_stage2)
+
+
+def whole_array_adamw(p, g, m, v, t, lr, betas, eps, wd):
+    """The whole-array AdamW rule the chunked step must reproduce bit for
+    bit: new (p, m, v), with a missing gradient taken as zeros."""
+    b1, b2 = betas
+    g = np.zeros_like(p) if g is None else g
+    m = m * b1
+    m += (1 - b1) * g
+    v = v * b2
+    v += (1 - b2) * g * g
+    update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return p - lr * (update + wd * p), m, v
 
 
 class TestAdamW:
@@ -50,6 +68,92 @@ class TestAdamW:
             vh = v / (1 - 0.999 ** t)
             ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
         np.testing.assert_allclose(p.data, ref, rtol=1e-12)
+
+
+class TestChunkedAdamW:
+    HYPER = dict(lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-2)
+
+    def run_both(self, p0, grads):
+        """Three (or more) steps of AdamW and of the whole-array rule from
+        the same start; returns both (p, m, v) triples."""
+        h = self.HYPER
+        p = Tensor(p0.copy(), requires_grad=True)
+        opt = AdamW({"p": p}, **h)
+        p_ref, m_ref, v_ref = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+        for t, g in enumerate(grads, start=1):
+            p.grad = None if g is None else g.copy(order="K")
+            opt.step()
+            p_ref, m_ref, v_ref = whole_array_adamw(
+                p_ref, g, m_ref, v_ref, t, h["lr"], h["betas"], h["eps"],
+                h["weight_decay"])
+        return (p.data, opt.m["p"], opt.v["p"]), (p_ref, m_ref, v_ref)
+
+    def assert_same_bits(self, got, ref):
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                      3 * CHUNK + 5])
+    def test_bit_identical_to_whole_array_rule(self, rng, size):
+        p0 = rng.normal(size=size)
+        grads = [rng.normal(size=size) * 10.0**k for k in (-3, 0, 2)]
+        grads[1][::7] = -0.0
+        self.assert_same_bits(*self.run_both(p0, grads))
+
+    def test_f_ordered_gradient(self, rng):
+        shape = (CHUNK // 40 + 3, 41)
+        p0 = rng.normal(size=shape)
+        grads = [np.asfortranarray(rng.normal(size=shape)) for _ in range(3)]
+        assert not grads[0].flags.c_contiguous
+        self.assert_same_bits(*self.run_both(p0, grads))
+
+    def test_missing_gradient_counts_as_zero(self, rng):
+        size = 2 * CHUNK + 3
+        p0 = rng.normal(size=size)
+        grads = [rng.normal(size=size), None, rng.normal(size=size)]
+        self.assert_same_bits(*self.run_both(p0, grads))
+
+    def test_updates_in_place(self, rng):
+        p = Tensor(rng.normal(size=(5, CHUNK // 3)), requires_grad=True)
+        data = p.data
+        opt = AdamW({"p": p})
+        m, v = opt.m["p"], opt.v["p"]
+        before = data.copy()
+        p.grad = rng.normal(size=data.shape)
+        opt.step()
+        assert p.data is data and opt.m["p"] is m and opt.v["p"] is v
+        assert not np.array_equal(data, before)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a[:, ::2],
+        lambda a: np.asfortranarray(a),
+        lambda a: a.astype(np.float32),
+    ], ids=["strided", "f-order", "float32"])
+    def test_parameter_of_another_layout_rejected(self, rng, make):
+        p = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        p.data = make(p.data)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            AdamW({"p": p})
+
+    def test_read_only_parameter_rejected(self, rng):
+        p = Tensor(rng.normal(size=8), requires_grad=True)
+        p.data.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            AdamW({"p": p})
+
+    def test_step_memory_is_two_chunks(self, rng):
+        n = 4 * 1024 * 1024                  # one 32 MB parameter
+        p = Tensor(rng.normal(size=n), requires_grad=True)
+        p.grad = rng.normal(size=n)
+        opt = AdamW({"p": p})
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * CHUNK + 64 * 1024
 
 
 class TestSchedule:
@@ -107,6 +211,74 @@ class TestStage1:
         b, _ = load_checkpoint(r2.checkpoint_path)
         for k in a:
             assert a[k].tobytes() == b[k].tobytes()
+
+
+class TestGradientGuard:
+    def test_nan_gradient_stops_before_any_write(self, tmp_path, monkeypatch):
+        """A NaN in one gradient at step 1 raises, naming the parameter and
+        step, and leaves every weight and moment as step 0 left it."""
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "iterations": 3, "periods": [3]}))
+        model = build_model(cfg, stage=1)
+        target = "backbone.out_conv.weight"
+        opts, snap = [], {}
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        orig_backward = Tensor.backward
+        calls = []
+
+        def backward(self):
+            orig_backward(self)
+            calls.append(None)
+            if len(calls) == 4:             # the second sample of step 1
+                params = model.parameters()
+                params[target].grad.reshape(-1)[5] = np.nan
+                snap["p"] = {k: p.data.copy() for k, p in params.items()}
+                snap["m"] = {k: a.copy() for k, a in opts[0].m.items()}
+                snap["v"] = {k: a.copy() for k, a in opts[0].v.items()}
+
+        monkeypatch.setattr(train, "AdamW", RecordingAdamW)
+        monkeypatch.setattr(Tensor, "backward", backward)
+        train_set, heldout = train._datasets(cfg)
+        with pytest.raises(TrainingDivergedError,
+                           match=rf"{target} at step 1"):
+            train._run_loop(cfg, model, 1, None, train_set, heldout, "stage1")
+        (opt,) = opts
+        assert opt.t == 1
+        for k, p in model.parameters().items():
+            assert p.data.tobytes() == snap["p"][k].tobytes()
+            assert opt.m[k].tobytes() == snap["m"][k].tobytes()
+            assert opt.v[k].tobytes() == snap["v"][k].tobytes()
+        assert not os.path.exists(tmp_path / "stage1.ckpt")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_every_non_finite_value_caught(self, bad):
+        p = Tensor(np.zeros(5), requires_grad=True)
+        p.grad = np.ones(5)
+        p.grad[2] = bad
+        with pytest.raises(TrainingDivergedError, match="w at step 7"):
+            train._check_gradients({"w": p}, 7)
+
+    def test_large_finite_gradient_passes(self):
+        # the sum of squares overflows, but every value is finite
+        p = Tensor(np.zeros(3), requires_grad=True)
+        p.grad = np.array([1e200, -1e300, 0.0])
+        q = Tensor(np.zeros(2), requires_grad=True)   # no gradient yet
+        train._check_gradients({"p": p, "q": q}, 0)
+
+    def test_one_optimizer_zero_grad_per_step(self, tmp_path, monkeypatch):
+        calls = []
+        orig = AdamW.zero_grad
+        monkeypatch.setattr(AdamW, "zero_grad",
+                            lambda self: (calls.append(None), orig(self)))
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "iterations": 3, "periods": [3]}))
+        train_stage1(cfg)
+        assert len(calls) == 3
 
 
 class TestStage2:
