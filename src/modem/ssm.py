@@ -12,21 +12,26 @@ trajectory and the backward rule is derived by hand (verified against finite
 differences in the tests).
 
 Both directions run one in-place linear recurrence,
-h[:, k] += a[:, k-1] * h[:, k-1]: the forward pass on the states with
-a = Abar[:, 1:], the backward pass on the state gradients over reversed
-views with a = Abar shifted by one step. On long sequences with few
+h[:, k] += a[:, k] * h[:, k-1]: the forward pass on the states with
+a = Abar, the backward pass on the state gradients over reversed views
+with a = Abar shifted by one step. On long sequences with few
 channels x states it steps chunks of the sequence together (about
 2 sqrt(3L) numpy steps instead of L, see `_linear_recurrence`); elsewhere
-it steps one token at a time.
+it steps one token at a time. Every temporary the scan allocates follows
+the memory order of the arrays it is combined with (token-major, strides
+(N, d*N, 1), as MOS2D hands the scan its inputs), so no inner loop walks
+mismatched strides; the chunked recurrence steps chunk-major copies, the
+order its steps read.
 
-Off the tape (restores, and `scan_terms` on plain arrays), such a
-one-token-at-a-time scan is streamed in blocks of BLOCK tokens: each
-block's ZOH factors, recurrence and output are formed before the next
-block's, with the last state carried over, so no (d, L, N) array exists
-whole (the kernel fusion of Mamba's hardware-aware scan, Gu & Dao, arXiv
-2312.00752, section 3.3.2, with the cache in place of GPU SRAM). Every
-token goes through the same operations as in the whole-sequence scan, so
-the output bytes are the same.
+Off the tape (restores, and `scan_terms` on plain arrays), the scan is
+streamed in blocks: BLOCK tokens of a one-token-at-a-time scan, or whole
+chunks of a chunked one. Each block's ZOH factors, recurrence and output
+are formed before the next block's, with the last state and the
+recurrence's carry passed on, so no (d, L, N) array exists whole (the
+kernel fusion of Mamba's hardware-aware scan, Gu & Dao, arXiv 2312.00752,
+section 3.3.2, with the cache in place of GPU SRAM). Every token goes
+through the same operations as in the whole-sequence scan, so the output
+bytes are the same.
 """
 
 from __future__ import annotations
@@ -39,22 +44,26 @@ from .tensor import ShapeError, Tensor, is_recording
 SERIES_THRESHOLD = 1e-8
 
 
+def _series_possible(A: np.ndarray, delta: np.ndarray) -> bool:
+    """Whether some |delta*A| may fall below SERIES_THRESHOLD. Rounding is
+    monotonic, so none does when min|delta| * min|A| is not below it (at
+    paper widths none ever does); NaN answers True."""
+    bound = np.abs(delta).min(initial=np.inf) * np.abs(A).min(initial=np.inf)
+    return not bound >= SERIES_THRESHOLD
+
+
 def _zoh_factors(A: np.ndarray, delta: np.ndarray):
     """Return (Abar, phi) with Abar = exp(delta*A), phi = (Abar - 1)/A.
 
-    Two full-size buffers: u = delta*A becomes Abar in place, and the
-    series branch is evaluated only at the entries its mask selects. The
-    mask is built only when min|delta| * min|A| falls below the series
-    threshold: rounding is monotonic, so otherwise no |u| does (at paper
-    widths none ever does).
+    Two full-size buffers laid out like `delta` (token-major when it is):
+    u = delta*A, formed in one einsum pass, becomes Abar in place, and the
+    series branch is evaluated only at the entries its mask selects, which
+    is built only when `_series_possible`.
     """
-    u = delta[:, :, None] * A[:, None, :]
-    bound = np.abs(delta).min(initial=np.inf) * np.abs(A).min(initial=np.inf)
-    if bound >= SERIES_THRESHOLD:
-        phi, u_series = np.empty_like(u), None
-    else:                                       # NaN lands here too
-        phi = np.abs(u)
-        series = phi < SERIES_THRESHOLD
+    u = np.einsum("dl,dn->dln", delta, A)
+    phi, u_series = np.empty_like(u), None
+    if _series_possible(A, delta):
+        series = np.abs(u, out=phi) < SERIES_THRESHOLD
         u_series = u[series] if series.any() else None
     Abar = np.exp(u, out=u)
     np.subtract(Abar, 1.0, out=phi)
@@ -69,10 +78,18 @@ def _zoh_factors(A: np.ndarray, delta: np.ndarray):
 # tokens with at most CHUNKED_MAX_DN channels x states. It does about twice
 # the arithmetic of the plain loop and pays off only while each step is
 # small enough for the interpreter, not the arithmetic, to set its cost.
-# The cut is timed on the token-major layout MOS2D hands the kernel
+# The cut was timed on the token-major layout MOS2D hands the kernel
 # (strides (N, d*N, 1), forward and reversed), where a plain-loop step is
-# one contiguous run of d*N values: at L = 4096 the two forms tie near
-# d*N = 112 with N = 4 and near 140 with N = 8.
+# one contiguous run of d*N values, when the chunked form stepped strided
+# views of it with C-ordered temporaries: at L = 4096 the two forms tied
+# near d*N = 112 with N = 4 and near 140 with N = 8. On chunk-major copies
+# the recurrence alone (median of 9, forward and reversed, same host) at
+# L = 4096 takes, chunked vs plain, ms: d*N = 112 (N = 4) 4.6 vs 7.5;
+# 192 (N = 8) 4.0 vs 7.0; 256 (N = 4) 7.3 vs 7.5; 288 (N = 8) 10.9 vs
+# 10.4; 384 (N = 8) 17.2 vs 14.2. In one 256-token block at d*N = 288
+# chunked wins (0.50 vs 0.78 ms), at 768 it loses (1.15 vs 0.97 ms). The
+# cut stays at 112: moving it changes the bytes of every scan whose d*N
+# it crosses.
 CHUNKED_MIN_LEN = 64
 CHUNKED_MAX_DN = 112
 
@@ -85,6 +102,20 @@ CHUNKED_MAX_DN = 112
 # (restore: median of 6, block sizes interleaved). 128 and 256 tie on the
 # restore; past 512 a block's buffers outgrow the cache.
 BLOCK = 256
+
+# A chunked no-grad scan is streamed in whole chunks, about STREAM_TOKENS
+# tokens per block. Timed on the same host against the whole sequence,
+# STREAM_TOKENS = 4096 / 8192 / 12288 / 16384 -> whole (token-major no-grad
+# scans, median of 11, interleaved):
+#   (8, 65536, 4) scan, ms      55 / 57 / 54 / 69 -> 72
+#     its tracemalloc peak, MiB 10.1 / 16.5 / - / 28.9 -> 72.3
+#   (8, 47500, 4) scan, ms      36 / 33 / 34 / 43 -> 47
+#   (16, 16384, 4) scan, ms     20 / 21 / 24 / 27 -> 29
+# and toy-width restores (median of 15, interleaved), 4096 / 8192:
+# 256x256 0.55 / 0.60 s, 190x250 0.32 / 0.31 s. Past 12288 tokens a
+# block's chunk-major copies outgrow the cache; 4096 ties with 8192 on
+# time and holds less.
+STREAM_TOKENS = 4096
 
 
 def _chunk_len(d_n: int, L: int) -> int:
@@ -100,69 +131,99 @@ def _chunk_len(d_n: int, L: int) -> int:
 
 
 def _chunks(v: np.ndarray, nc: int, T: int) -> np.ndarray:
-    """(d, nc, T, N) view of the first nc*T steps of a (d, L, N) view."""
+    """(T, nc, d, N) view of the first nc*T steps of a (d, L, N) view:
+    [t, c] is step t of chunk c."""
     sd, sl, sn = v.strides
     return np.lib.stride_tricks.as_strided(
-        v, shape=(v.shape[0], nc, T, v.shape[2]), strides=(sd, T * sl, sl, sn))
+        v, shape=(T, nc, v.shape[0], v.shape[2]), strides=(sl, T * sl, sd, sn))
 
 
-def _linear_recurrence(a: np.ndarray, h: np.ndarray, T: int) -> None:
-    """In place: h[:, k] += a[:, k-1] * h[:, k-1] for k = 1 .. L-1.
+def _linear_recurrence(a: np.ndarray, h: np.ndarray, T: int,
+                       carry: np.ndarray) -> np.ndarray:
+    """In place: h[:, k] += a[:, k] * h[:, k-1] for k = 0 .. L-1, where
+    h[:, -1] stands for `carry` (d, N), the state entering h.
 
-    h is (d, L, N) and a is (d, L-1, N); either may be a strided or
-    reversed view. With T >= 2 the L-1 updated steps are cut into chunks
-    of T that step together: a local pass runs each chunk from a zero
-    state, a carry runs over the chunk ends (the state entering each
-    chunk), and a fix-up pass adds the running product of `a` times that
-    carry. The L-1 mod T steps left over run one at a time. Extra memory
-    is O(d*N*L/T). With T = 0, or room for fewer than two chunks, the
-    whole sequence runs one step at a time.
+    h and a are (d, L, N); either may be a strided or reversed view. With
+    T >= 2 and room for two chunks, the whole chunks of T steps step
+    together: a local pass runs each chunk from a zero state, a carry runs
+    over the chunk ends (the state entering chunk c is prod(a over chunk
+    c-1) * the state entering it + its local end), and a fix-up pass adds
+    the running product of `a` times that carry. The chunks run on
+    chunk-major (T, nc, d, N) copies of h and a, so each of those steps
+    reads and writes one contiguous run whatever the caller's layout, and
+    h takes the result back; the temporaries follow those copies. The
+    L mod T steps left over run one at a time. With T = 0, or room for
+    fewer than two chunks, every step runs one at a time.
+
+    Returns the state a step after h would carry in: the chunk carry when h
+    ends on a chunk edge, which is not h's last state (that sums in another
+    order), else h's last state. Running a sequence in pieces of whole
+    chunks, each from its predecessor's return, gives the bytes of the run
+    whole.
     """
     L = h.shape[1]
-    nc = (L - 1) // T if T else 0
-    done = 1
+    nc = L // T if T else 0
+    done = 0
     if nc >= 2:
-        hc = _chunks(h[:, 1:], nc, T)
-        ac = _chunks(a, nc, T)
-        tmp = np.empty(hc.shape[:2] + hc.shape[3:])
+        hc = _chunks(h, nc, T)
+        hm = np.ascontiguousarray(hc)
+        am = np.ascontiguousarray(_chunks(a, nc, T))
+        tmp = np.empty_like(hm[0])
         for t in range(1, T):                       # local pass
-            np.multiply(ac[:, :, t], hc[:, :, t - 1], out=tmp)
-            hc[:, :, t] += tmp
-        prod = np.prod(ac, axis=2)                  # decay across each chunk
-        carry = np.empty_like(tmp)                  # state entering chunk c
-        carry[:, 0] = h[:, 0]
+            np.multiply(am[t], hm[t - 1], out=tmp)
+            hm[t] += tmp
+        prod = np.prod(am, axis=0)                  # decay across each chunk
+        entry = np.empty_like(tmp)                  # state entering chunk c
+        entry[0] = carry
         for c in range(1, nc):
-            np.multiply(prod[:, c - 1], carry[:, c - 1], out=carry[:, c])
-            carry[:, c] += hc[:, c - 1, T - 1]
+            np.multiply(prod[c - 1], entry[c - 1], out=entry[c])
+            entry[c] += hm[T - 1, c - 1]
+        carry = prod[-1] * entry[-1]
+        carry += hm[T - 1, -1]
         for t in range(T):                          # fix-up pass
-            carry *= ac[:, :, t]
-            hc[:, :, t] += carry
-        done = 1 + nc * T
+            entry *= am[t]
+            hm[t] += entry
+        hc[...] = hm
+        done = nc * T
+        if done == L:
+            return carry
+        prev = h[:, done - 1]
+    else:
+        prev = carry
     for k in range(done, L):
-        h[:, k] += a[:, k - 1] * h[:, k - 1]
+        h[:, k] += a[:, k] * prev
+        prev = h[:, k]
+    return prev.copy()
 
 
-def _scan_forward(x, Abar, Bbar, C, D, h0=None):
-    """Run the recurrence. Returns y, states h (d, L, N), and the long-range
-    / local output terms; y is formed as longrange + local + D*x, so that
-    sum reproduces it bit-for-bit. Bbar is a buffer the caller gives up:
-    it becomes the states in place. h0 (d, N) is the state before the
-    first token (zero when None); it enters token 0 through the same
-    operations every later token's predecessor does."""
-    d, L = x.shape
+def _scan_forward(x, Abar, Bbar, C, D, T, h0=None, carry=None):
+    """Run the recurrence with chunk length T (0: plain loop). Returns y,
+    states h (d, L, N), the long-range / local output terms, and the carry
+    into a next block (see `_linear_recurrence`); y is formed as
+    longrange + local + D*x, so that sum reproduces it bit-for-bit. Bbar is
+    a buffer the caller gives up: it becomes the states in place.
+
+    h0 (d, N) is the state before the first token (zero when None); it
+    enters token 0's long-range term. `carry` is what the recurrence
+    carries into token 0: h0 itself on the plain loop, the previous
+    block's returned carry on a chunked one, where the block starts on a
+    chunk edge of the whole sequence. Token 0 then goes through the same
+    operations as in the sequence run whole."""
     states = Bbar
     states *= x[:, :, None]
     local = np.einsum("dln,ln->dl", states, C)
     longrange = np.zeros_like(local)
     if h0 is not None:
-        states[:, 0] += Abar[:, 0] * h0
         np.einsum("dn,dn,n->d", Abar[:, 0], h0, C[0], out=longrange[:, 0])
-    _linear_recurrence(Abar[:, 1:], states, _chunk_len(d * C.shape[1], L))
+        carry = _linear_recurrence(Abar, states, T, carry)
+    elif x.shape[1]:
+        carry = _linear_recurrence(Abar[:, 1:], states[:, 1:], T,
+                                   states[:, 0])
     np.einsum("dln,dln,ln->dl", Abar[:, 1:], states[:, :-1], C[1:],
               out=longrange[:, 1:])
     y = longrange + local
     y += D[:, None] * x
-    return y, states, longrange, local
+    return y, states, longrange, local, carry
 
 
 def _scan_backward(dy, x, C, Abar, Bbar, states):
@@ -170,8 +231,9 @@ def _scan_backward(dy, x, C, Abar, Bbar, states):
     # dh[:, k] = dL/dh_k = dy_k C_k + Abar_{k+1} dh[:, k+1]: the forward
     # recurrence run over reversed views.
     dh = dy[:, :, None] * C[None, :, :]
-    _linear_recurrence(Abar[:, :0:-1], dh[:, ::-1],
-                       _chunk_len(d * C.shape[1], L))
+    rev = dh[:, ::-1]
+    _linear_recurrence(Abar[:, :0:-1], rev[:, 1:],
+                       _chunk_len(d * C.shape[1], L), rev[:, 0])
     dx = np.einsum("dln,dln->dl", dh, Bbar)
     dC = np.einsum("dl,dln->ln", dy, states)
     dAbar = np.empty_like(dh)
@@ -202,34 +264,47 @@ def scan_backward(dy, x, delta, A, B, C, D, Abar, phi, states):
     dAbar *= Abar
     ddelta = (np.einsum("dln,dn->dl", dAbar, A)
               + np.einsum("dln,dln->dl", dphi, Abar))
-    dphi_dA = np.multiply(delta[:, :, None], A[:, None, :])
-    series = np.abs(dphi_dA, out=dphi_dA) < SERIES_THRESHOLD
-    np.multiply(delta[:, :, None], Abar, out=dphi_dA)
+    dphi_dA = np.multiply(delta[:, :, None], Abar)
     dphi_dA -= phi
     dphi_dA /= np.where(np.abs(A) < 1e-300, 1.0, A)[:, None, :]
-    if series.any():
-        dphi_dA[series] = 0.5 * np.broadcast_to(delta[:, :, None],
-                                                dphi_dA.shape)[series] ** 2
+    if _series_possible(A, delta):
+        series = np.abs(np.einsum("dl,dn->dln", delta, A)) < SERIES_THRESHOLD
+        if series.any():
+            dphi_dA[series] = 0.5 * np.broadcast_to(
+                delta[:, :, None], dphi_dA.shape)[series] ** 2
     dA = (np.einsum("dln,dl->dn", dAbar, delta)
           + np.einsum("dln,dln->dn", dphi, dphi_dA))
     return dx, ddelta, dA, dB, dC, dD
 
 
+def _blocks(L: int, T: int):
+    """(start, end) of each block a no-grad scan of L tokens streams, for
+    chunk length T (0: plain loop). The plain loop runs BLOCK tokens at a
+    time. A chunked one runs whole chunks of the whole sequence's T, about
+    STREAM_TOKENS at a time and never fewer than two: the first block also
+    holds token 0, and the last one the tail of fewer than T tokens."""
+    if T:
+        step = T * max(2, STREAM_TOKENS // T)
+        edges = range(1 + step, L - 2 * T + 1, step)
+    else:
+        edges = range(BLOCK, L, BLOCK)
+    return zip([0, *edges], [*edges, L])
+
+
 def _scan_blocks(x, delta, A, B, C, D, terms: bool):
     """(y, longrange, local) of the scan, or (y,) when not `terms`, streamed
-    BLOCK tokens at a time with the (d, N) state carried between blocks, so
-    the (d, L, N) buffers never exist whole and each block's stay in cache.
-    A chunked recurrence needs the whole sequence and runs as one block.
-    The bytes are those of the recording path."""
+    block by block (`_blocks`) with the last state and the recurrence's
+    carry passed between blocks, so the (d, L, N) buffers never exist whole
+    and each block's stay in cache. The bytes are those of the recording
+    path."""
     d, L = x.shape
-    block = L if _chunk_len(d * A.shape[1], L) else BLOCK
-    out, h = None, None
-    for s in range(0, max(L, 1), block):
-        e = min(s + block, L)
+    T = _chunk_len(d * A.shape[1], L)
+    out, h0, carry = None, None, None
+    for s, e in _blocks(L, T):
         Abar, phi = _zoh_factors(A, delta[:, s:e])
         phi *= B[None, s:e, :]
-        y, states, longrange, local = _scan_forward(x[:, s:e], Abar, phi,
-                                                    C[s:e], D, h)
+        y, states, longrange, local, carry = _scan_forward(
+            x[:, s:e], Abar, phi, C[s:e], D, T, h0, carry)
         parts = (y, longrange, local) if terms else (y,)
         if e - s == L:
             return parts
@@ -237,7 +312,7 @@ def _scan_blocks(x, delta, A, B, C, D, terms: bool):
             out = tuple(np.empty_like(p, shape=(d, L)) for p in parts)
         for o, p in zip(out, parts):
             o[:, s:e] = p
-        h = states[:, -1].copy()
+        h0 = states[:, -1].copy()
     return out
 
 
@@ -275,7 +350,8 @@ def selective_scan_op(x: Tensor, delta: Tensor, A: Tensor, B: Tensor,
     if not is_recording(parents):
         return Tensor(_scan_blocks(xd, dd, Ad, Bd, Cd, Dd, False)[0])
     Abar, phi = _zoh_factors(Ad, dd)
-    y, states, _, _ = _scan_forward(xd, Abar, phi * Bd[None, :, :], Cd, Dd)
+    y, states, _, _, _ = _scan_forward(xd, Abar, phi * Bd[None, :, :], Cd, Dd,
+                                       _chunk_len(Ad.size, xd.shape[1]))
 
     def backward(grad):
         return scan_backward(grad, xd, dd, Ad, Bd, Cd, Dd, Abar, phi, states)

@@ -120,6 +120,29 @@ def _check_gradients(params: dict[str, Tensor], step: int) -> None:
                     f"non-finite gradient of {name} at step {step}")
 
 
+def _sample_backward(model: RestorationModel, teacher: DDEM | None,
+                     s: SynthSample, stage: int,
+                     scale: float) -> tuple[float, float, float]:
+    """Forward one sample and backpropagate its loss times `scale` into the
+    gradients; returns its (l1, cor, kl) losses, kl 0.0 in stage 1. The
+    sample's graph dies with this call, before the next sample's forward
+    or the optimizer step."""
+    restored, priors = model(Tensor(s.degraded), _ddem_input(s, stage))
+    target = Tensor(s.clean)
+    l1 = l1_loss(restored, target)
+    cor, _ = correlation_loss(restored, target)
+    loss = l1 + cor
+    kl = 0.0
+    if stage == 2:
+        with no_grad():
+            t_priors = teacher(_ddem_input(s, 1))
+        kl_t = kl_loss(t_priors.z_tilde.data, priors.z_tilde)
+        loss = loss + kl_t
+        kl = float(kl_t.data)
+    (loss * scale).backward()
+    return float(l1.data), float(cor.data), kl
+
+
 def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
               teacher: DDEM | None, train_set: list[SynthSample],
               heldout: list[SynthSample], tag: str) -> TrainResult:
@@ -141,21 +164,11 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
         idx = batch_rng.integers(0, len(train_set), size=tc.batch_size)
         l1_acc = cor_acc = kl_acc = 0.0
         for i in idx:
-            s = train_set[int(i)]
-            restored, priors = model(Tensor(s.degraded), _ddem_input(s, stage))
-            target = Tensor(s.clean)
-            l1 = l1_loss(restored, target)
-            cor, _ = correlation_loss(restored, target)
-            loss = l1 + cor
-            if stage == 2:
-                with no_grad():
-                    t_priors = teacher(_ddem_input(s, 1))
-                kl = kl_loss(t_priors.z_tilde.data, priors.z_tilde)
-                loss = loss + kl
-                kl_acc += float(kl.data)
-            (loss * (1.0 / tc.batch_size)).backward()
-            l1_acc += float(l1.data)
-            cor_acc += float(cor.data)
+            l1, cor, kl = _sample_backward(model, teacher, train_set[int(i)],
+                                           stage, 1.0 / tc.batch_size)
+            l1_acc += l1
+            cor_acc += cor
+            kl_acc += kl
         l1_m = l1_acc / tc.batch_size
         cor_m = cor_acc / tc.batch_size
         kl_m = kl_acc / tc.batch_size

@@ -168,9 +168,9 @@ class TestMOS2D:
         seen = []
         kernel = ssm._linear_recurrence
 
-        def spy(a, h, T):
+        def spy(a, h, T, carry):
             seen.append((h.shape, h.strides, a.strides))
-            return kernel(a, h, T)
+            return kernel(a, h, T, carry)
 
         monkeypatch.setattr(ssm, "_linear_recurrence", spy)
         cfg = toy_cfg(bidirectional=bidirectional)
@@ -180,7 +180,8 @@ class TestMOS2D:
         assert len(seen) == (4 if bidirectional else 2)
         directions = set()
         for (d, L, N), h_strides, a_strides in seen:
-            assert (d, L, N) == (cfg.channels, 64, cfg.d_state)
+            # the 63 tokens after the first, which the recurrence carries in
+            assert (d, L, N) == (cfg.channels, 63, cfg.d_state)
             for sd, sl, sn in (h_strides, a_strides):
                 assert (sd, abs(sl), sn) == (8 * N, 8 * d * N, 8)
             directions.add(h_strides[1] > 0)

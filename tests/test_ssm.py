@@ -66,6 +66,111 @@ def reference_zoh_factors(A, delta):
     return Abar, np.where(series, phi_series, phi_exact)
 
 
+def broadcast_zoh_factors(A, delta):
+    """The ZOH factors as a broadcast product of delta and A with the series
+    mask built only when min|delta| * min|A| is below the threshold: the
+    kernel before its one-pass product, kept as a byte and layout
+    reference."""
+    u = delta[:, :, None] * A[:, None, :]
+    bound = np.abs(delta).min(initial=np.inf) * np.abs(A).min(initial=np.inf)
+    if bound >= SERIES_THRESHOLD:
+        phi, u_series = np.empty_like(u), None
+    else:
+        phi = np.abs(u)
+        series = phi < SERIES_THRESHOLD
+        u_series = u[series] if series.any() else None
+    Abar = np.exp(u, out=u)
+    np.subtract(Abar, 1.0, out=phi)
+    phi /= np.where(np.abs(A) < 1e-300, 1.0, A)[:, None, :]
+    if u_series is not None:
+        phi[series] = (np.broadcast_to(delta[:, :, None], phi.shape)[series]
+                       * (1.0 + 0.5 * u_series))
+    return Abar, phi
+
+
+def chunk_views(v, nc, T):
+    """(d, nc, T, N) view of the first nc*T steps of a (d, L, N) view."""
+    sd, sl, sn = v.strides
+    return np.lib.stride_tricks.as_strided(
+        v, shape=(v.shape[0], nc, T, v.shape[2]), strides=(sd, T * sl, sl, sn))
+
+
+def c_order_recurrence(a, h, T):
+    """In place: h[:, k] += a[:, k-1] * h[:, k-1] over the whole sequence,
+    the chunked kernel stepping the caller's views with C-ordered
+    temporaries: the byte reference for `ssm._linear_recurrence`."""
+    L = h.shape[1]
+    nc = (L - 1) // T if T else 0
+    done = 1
+    if nc >= 2:
+        hc = chunk_views(h[:, 1:], nc, T)
+        ac = chunk_views(a, nc, T)
+        tmp = np.empty(hc.shape[:2] + hc.shape[3:])
+        for t in range(1, T):
+            np.multiply(ac[:, :, t], hc[:, :, t - 1], out=tmp)
+            hc[:, :, t] += tmp
+        prod = np.prod(ac, axis=2)
+        carry = np.empty_like(tmp)
+        carry[:, 0] = h[:, 0]
+        for c in range(1, nc):
+            np.multiply(prod[:, c - 1], carry[:, c - 1], out=carry[:, c])
+            carry[:, c] += hc[:, c - 1, T - 1]
+        for t in range(T):
+            carry *= ac[:, :, t]
+            hc[:, :, t] += carry
+        done = 1 + nc * T
+    for k in range(done, L):
+        h[:, k] += a[:, k - 1] * h[:, k - 1]
+
+
+def whole_sequence_terms(x, delta, A, B, C, D):
+    """(y, longrange, local) of the scan run whole on the reference kernels,
+    as the recording path ran it before scans were streamed."""
+    d, L = x.shape
+    Abar, phi = broadcast_zoh_factors(A, delta)
+    states = phi * B[None, :, :]
+    states *= x[:, :, None]
+    local = np.einsum("dln,ln->dl", states, C)
+    longrange = np.zeros_like(local)
+    c_order_recurrence(Abar[:, 1:], states, ssm._chunk_len(A.size, L))
+    np.einsum("dln,dln,ln->dl", Abar[:, 1:], states[:, :-1], C[1:],
+              out=longrange[:, 1:])
+    y = longrange + local
+    y += D[:, None] * x
+    return y, longrange, local
+
+
+def always_mask_scan_backward(dy, x, delta, A, B, C, D, Abar, phi, states):
+    """scan_backward with the series mask built on every call from a
+    broadcast delta*A: the byte reference for its six gradients."""
+    dx, dC, dAbar, dBbar = ssm._scan_backward(dy, x, C, Abar,
+                                              phi * B[None, :, :], states)
+    dx += dy * D[:, None]
+    dD = (dy * x).sum(axis=1)
+    dB = np.einsum("dln,dln->ln", dBbar, phi)
+    dphi = dBbar
+    dphi *= B[None, :, :]
+    dAbar *= Abar
+    ddelta = (np.einsum("dln,dn->dl", dAbar, A)
+              + np.einsum("dln,dln->dl", dphi, Abar))
+    dphi_dA = np.multiply(delta[:, :, None], A[:, None, :])
+    series = np.abs(dphi_dA, out=dphi_dA) < SERIES_THRESHOLD
+    np.multiply(delta[:, :, None], Abar, out=dphi_dA)
+    dphi_dA -= phi
+    dphi_dA /= np.where(np.abs(A) < 1e-300, 1.0, A)[:, None, :]
+    if series.any():
+        dphi_dA[series] = 0.5 * np.broadcast_to(delta[:, :, None],
+                                                dphi_dA.shape)[series] ** 2
+    dA = (np.einsum("dln,dl->dn", dAbar, delta)
+          + np.einsum("dln,dln->dn", dphi, dphi_dA))
+    return dx, ddelta, dA, dB, dC, dD
+
+
+def token_major(a):
+    """a (d, L) laid out token by token, as MOS2D hands the scan x, delta."""
+    return np.ascontiguousarray(a.T).T
+
+
 def rel_err(got, want):
     return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
 
@@ -98,6 +203,26 @@ def random_instance(rng, d=None, N=None, L=None):
     D = rng.normal(size=d)
     x = rng.normal(size=(d, L))
     return x, delta, A, B, C, D
+
+
+def layout_instance(rng, d, L, N, layout, below=False):
+    """random_instance in one of the layouts the scan is handed: "C" order,
+    "token" major as MOS2D passes x and delta, or "reversed" views with
+    negative strides. With `below`, some |delta*A| fall under the series
+    threshold."""
+    x, delta, A, B, C, D = random_instance(rng, d=d, N=N, L=L)
+    if below:
+        delta[0, : L // 2] = 1e-12
+        delta[-1, -1] = 0.0
+    if layout == "token":
+        x, delta = token_major(x), token_major(delta)
+    elif layout == "reversed":
+        x, delta = x[:, ::-1], delta[:, ::-1]
+        B, C = B[::-1], C[::-1]
+    return x, delta, A, B, C, D
+
+
+LAYOUTS = ["C", "token", "reversed"]
 
 
 class TestZOH:
@@ -173,6 +298,24 @@ class TestZOH:
                 assert got.tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_factors_follow_delta_layout(self, rng, layout, below):
+        # the one-pass product has the bytes and strides of the broadcast,
+        # which lays the buffers out like delta
+        d, L, N = 8, 300, 4
+        _, delta, A, *_ = layout_instance(rng, d, L, N, layout, below)
+        assert np.any(np.abs(delta[:, :, None] * A[:, None, :])
+                      < SERIES_THRESHOLD) == below
+        got, want = _zoh_factors(A, delta), broadcast_zoh_factors(A, delta)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+            assert g.strides == w.strides
+        if layout == "token":
+            for g in got:
+                assert g.strides == (8 * N, 8 * d * N, 8)
+
+
 class TestScan:
     def test_matches_unrolled_oracle(self, rng):
         for _ in range(50):
@@ -203,7 +346,8 @@ class TestScan:
         D = np.zeros(d)
         x = rng.normal(size=(d, L))
         Abar, phi = _zoh_factors(A, delta)
-        y, states, _, _ = ssm._scan_forward(x, Abar, phi * B, C, D)
+        y, states, *_ = ssm._scan_forward(x, Abar, phi * B, C, D,
+                                          ssm._chunk_len(d * N, L))
         assert np.all(np.isfinite(y))
         assert np.max(np.abs(states)) < 1e4
 
@@ -316,6 +460,39 @@ class TestScanGradients:
         np.testing.assert_allclose(t["A"].grad, fd, rtol=1e-4, atol=1e-10)
 
 
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("d,L,N", [(3, 200, 4), (36, 70, 8)])
+    def test_gradients_bit_identical_to_always_mask_reference(
+            self, rng, d, L, N, layout, below):
+        x, delta, A, B, C, D = layout_instance(rng, d, L, N, layout, below)
+        Abar, phi = _zoh_factors(A, delta)
+        _, states, *_ = ssm._scan_forward(x, Abar, phi * B, C, D,
+                                          ssm._chunk_len(d * N, L))
+        dy = rng.normal(size=(d, L))
+        args = (dy, x, delta, A, B, C, D, Abar, phi, states)
+        got, want = scan_backward(*args), always_mask_scan_backward(*args)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert len(got) == 6
+
+
+    def test_nan_takes_the_masked_path(self, rng):
+        # NaN makes the min|delta| * min|A| bound NaN: the mask is built
+        x, delta, A, B, C, D = layout_instance(rng, 3, 50, 4, "token")
+        delta[1, 7] = np.nan
+        assert ssm._series_possible(A, delta)
+        for got, want in zip(_zoh_factors(A, delta),
+                             broadcast_zoh_factors(A, delta)):
+            assert got.tobytes() == want.tobytes()
+        Abar, phi = _zoh_factors(A, delta)
+        _, states, *_ = ssm._scan_forward(x, Abar, phi * B, C, D, 0)
+        args = (rng.normal(size=(3, 50)), x, delta, A, B, C, D, Abar, phi,
+                states)
+        for g, w in zip(scan_backward(*args), always_mask_scan_backward(*args)):
+            assert g.tobytes() == w.tobytes()
+
+
 T = 8
 RECURRENCE_CASES = [(d, N, L) for d, N in ((1, 1), (8, 4), (288, 8))
                     for L in (1, 2, T - 1, T, T + 1, 2 * T + 1, 3 * T + 5,
@@ -333,11 +510,12 @@ class TestChunkedKernel:
         for k in range(1, L):
             want[:, k] = a[:, k - 1] * want[:, k - 1] + want[:, k]
         got = h0.copy()
-        ssm._linear_recurrence(a, got, T)
+        ssm._linear_recurrence(a, got[:, 1:], T, got[:, 0])
         assert rel_err(got, want) < 1e-13
         # the same on views with negative strides, as the backward pass runs it
         got = h0[:, ::-1].copy()[:, ::-1]
-        ssm._linear_recurrence(a[:, ::-1].copy()[:, ::-1], got, T)
+        ssm._linear_recurrence(a[:, ::-1].copy()[:, ::-1], got[:, 1:], T,
+                               got[:, 0])
         assert rel_err(got, want) < 1e-13
 
     @pytest.mark.parametrize("d,L,N", [(1, 3000, 1), (8, 4096, 4),
@@ -349,7 +527,8 @@ class TestChunkedKernel:
         Abar, phi = _zoh_factors(A, delta)
         Bbar = phi * B
         want = sequential_forward(x, Abar, Bbar, C, D)
-        got = ssm._scan_forward(x, Abar, Bbar.copy(), C, D)
+        got = ssm._scan_forward(x, Abar, Bbar.copy(), C, D,
+                                ssm._chunk_len(d * N, L))
         for g, w in zip(got, want):
             assert rel_err(g, w) < 1e-12
         dy = rng.normal(size=(d, L))
@@ -357,6 +536,46 @@ class TestChunkedKernel:
         got = ssm._scan_backward(dy, x, C, Abar, Bbar, got[1])
         for g, w in zip(got, want):
             assert rel_err(g, w) < 1e-12
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("d,L,N", [(3, 500, 4), (16, 1024, 4),
+                                       (8, 4097, 4), (8, 65536, 4)])
+    def test_recurrence_bit_identical_to_c_order_kernel(self, rng, d, L, N,
+                                                        layout):
+        T = ssm._chunk_len(d * N, L)
+        assert T and (L - 1) // T >= 2
+        a = rng.uniform(0.5, 1.0, size=(L, d, N)).transpose(1, 0, 2)
+        h0 = rng.normal(size=(L, d, N)).transpose(1, 0, 2)
+        if layout == "C":
+            a, h0 = np.ascontiguousarray(a), np.ascontiguousarray(h0)
+        want, got = h0.copy(order="K"), h0.copy(order="K")
+        if layout == "reversed":      # as the backward pass runs it
+            a, want, got = a[:, :0:-1], want[:, ::-1], got[:, ::-1]
+        else:
+            a = a[:, 1:]
+        c_order_recurrence(a, want, T)
+        ssm._linear_recurrence(a, got[:, 1:], T, got[:, 0])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pieces", [[2], [3, 1], [1, 4, 2]])
+    def test_recurrence_in_whole_chunks_bit_identical(self, rng, pieces):
+        # each piece starts on a chunk edge and carries in what the one
+        # before returned: the chunk carry, not its last state
+        d, N, T = 4, 3, 8
+        chunks = 2 * sum(pieces) + 2
+        L = 1 + chunks * T + T - 1
+        a = rng.uniform(0.5, 1.0, size=(d, L - 1, N))
+        h0 = rng.normal(size=(d, L, N))
+        want, got = h0.copy(), h0.copy()
+        c_order_recurrence(a, want, T)
+        carry, s = got[:, 0], 1
+        for n in pieces:
+            e = s + 2 * n * T
+            carry = ssm._linear_recurrence(a[:, s - 1:e - 1], got[:, s:e], T,
+                                           carry)
+            s = e
+        ssm._linear_recurrence(a[:, s - 1:], got[:, s:], T, carry)
+        assert got.tobytes() == want.tobytes()
 
     def test_chunk_rule(self):
         assert ssm._chunk_len(32, ssm.CHUNKED_MIN_LEN - 1) == 0
@@ -439,10 +658,72 @@ class TestChunkedKernel:
     def test_backward_leaves_saved_arrays_untouched(self, rng):
         x, delta, A, B, C, D = random_instance(rng, d=3, N=4, L=300)
         Abar, phi = _zoh_factors(A, delta)
-        y, states, _, _ = ssm._scan_forward(x, Abar, phi * B, C, D)
+        y, states, *_ = ssm._scan_forward(x, Abar, phi * B, C, D,
+                                          ssm._chunk_len(3 * 4, 300))
         dy = rng.normal(size=y.shape)
         args = (dy, x, delta, A, B, C, D, Abar, phi, states)
         saved = [a.copy() for a in args]
         scan_backward(*args)
         for a, b in zip(args, saved):
             assert a.tobytes() == b.tobytes()
+
+
+# Sequence lengths at the edges of chunked no-grad blocks, for d*N = 32 and
+# STREAM_TOKENS = 300: L - 1 is a multiple of the block step m*T plus
+# `chunks` chunks and `tokens` tokens: exactly, one token over, a tail of
+# T - 1 (it rides with the last block), a remainder one token short of two
+# chunks (it joins the block before it) and one of exactly two chunks.
+STREAM_EDGES = [(589, 0, 0), (868, 0, 0), (869, 0, 1), (884, 1, -1),
+                (901, 2, -1), (902, 2, 0)]
+
+
+class TestStreamedChunkedScan:
+    def check_against_whole(self, arrays):
+        want = whole_sequence_terms(*arrays)
+        got = scan_terms(*arrays)
+        with no_grad():
+            y = selective_scan_op(*[Tensor(a) for a in arrays]).data
+        for g, w in zip((*got, y), (*want, want[0])):
+            assert g.tobytes() == w.tobytes()
+            assert g.strides == w.strides
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("L,chunks,tokens", STREAM_EDGES)
+    def test_bytes_and_strides_at_block_edges(self, rng, monkeypatch, L,
+                                              chunks, tokens, layout):
+        monkeypatch.setattr(ssm, "STREAM_TOKENS", 300)
+        d, N = 8, 4
+        T = ssm._chunk_len(d * N, L)
+        step = T * max(2, 300 // T)
+        assert (L - 1) % step == chunks * T + tokens
+        blocks = list(ssm._blocks(L, T))
+        assert len(blocks) >= 2 and blocks[-1][1] == L
+        for s, e in blocks[1:]:
+            assert (s - 1) % T == 0 and e - s >= 2 * T
+        self.check_against_whole(layout_instance(rng, d, L, N, layout))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bytes_and_strides_at_full_size(self, rng, layout):
+        d, L, N = 8, 65536, 4
+        assert len(list(ssm._blocks(L, ssm._chunk_len(d * N, L)))) >= 4
+        self.check_against_whole(layout_instance(rng, d, L, N, layout))
+
+    def test_no_grad_memory_is_per_block(self):
+        # A chunked no-grad scan holds O(d*N*STREAM_TOKENS) beyond its
+        # 4 MiB output; run as one block, it peaks at 48 MiB or more.
+        rng = np.random.default_rng(0)
+        d, L, N = 8, 65536, 4
+        x = token_major(rng.normal(size=(d, L)))
+        delta = token_major(rng.uniform(1e-3, 0.1, size=(d, L)))
+        A = -np.tile(np.arange(1.0, N + 1.0), (d, 1))
+        args = [Tensor(a) for a in (x, delta, A, rng.normal(size=(L, N)),
+                                    rng.normal(size=(L, N)), np.ones(d))]
+        tracemalloc.start()
+        try:
+            with no_grad():
+                y = selective_scan_op(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (d, L)
+        assert peak < 24 * 2**20, peak

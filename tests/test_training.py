@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import toy_run_config
 from modem import train
 from modem.config import RunConfig, config_from_dict
-from modem.model import load_checkpoint
+from modem.model import RestorationModel, load_checkpoint
 from modem.optim import CHUNK, AdamW, CosineRestartSchedule
 from modem.tensor import Tensor
 from modem.train import (TrainingDivergedError, build_model, train_stage1,
@@ -279,6 +280,53 @@ class TestGradientGuard:
             "iterations": 3, "periods": [3]}))
         train_stage1(cfg)
         assert len(calls) == 3
+
+
+class TestSampleGraphRelease:
+    """Each sample's graph is dropped once its loss floats are read: none
+    is alive when the next sample's forward starts or the optimizer
+    steps."""
+
+    def spy(self, monkeypatch):
+        refs, checks = [], []
+
+        def assert_released():
+            checks.append(None)
+            assert all(r() is None for r in refs), "a sample graph is alive"
+
+        orig_forward = RestorationModel.forward
+
+        def forward(self, *args):
+            assert_released()
+            restored, priors = orig_forward(self, *args)
+            if restored.requires_grad:
+                refs.append(weakref.ref(restored.data))
+            return restored, priors
+
+        orig_step = AdamW.step
+
+        def step(self, *args, **kwargs):
+            assert_released()
+            return orig_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(RestorationModel, "forward", forward)
+        monkeypatch.setattr(AdamW, "step", step)
+        return refs, checks
+
+    def test_stage1(self, tmp_path, monkeypatch):
+        refs, checks = self.spy(monkeypatch)
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "iterations": 2, "periods": [2]}))
+        train_stage1(cfg)
+        assert len(refs) == 4 and len(checks) >= 6
+
+    def test_stage2(self, stage1_result, tmp_path, monkeypatch):
+        _, r1 = stage1_result
+        refs, checks = self.spy(monkeypatch)
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "stage": 2, "iterations": 2, "periods": [2]}))
+        train_stage2(cfg, r1.checkpoint_path)
+        assert len(refs) == 4 and len(checks) >= 6
 
 
 class TestStage2:
