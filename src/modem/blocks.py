@@ -11,7 +11,7 @@ from . import ops
 from .nn import Conv2d, LayerNorm2d, Linear, Module, param
 from .scan_orders import ScanPermutation, build_order
 from .ssm import scan_terms, selective_scan_op
-from .tensor import ContractError, Tensor, no_grad
+from .tensor import ContractError, Tensor, no_grad, per_band
 
 _PERM_CACHE: dict[tuple[int, int, str], ScanPermutation] = {}
 
@@ -143,9 +143,11 @@ class S6ParamHead(Module):
 class MOS2D(Module):
     """Scan-order selective-state-space block over 2-D features.
 
-    Pipeline: input projection -> (conditioned: DAFM) -> permute into the
-    scan order -> (conditioned: DSAM, else plain linear head) -> ZOH +
-    selective scan -> permute back -> gated output projection.
+    Pipeline: (optional per-pixel norm) -> input projection ->
+    (conditioned: DAFM) -> permute into the scan order -> (conditioned:
+    DSAM, else plain linear head) -> ZOH + selective scan -> permute back
+    -> gated output projection. Off the tape the token-wise stages run
+    band by band (`per_band`) into whole arrays; each scan runs whole.
     """
 
     def __init__(self, cfg: MOS2DConfig, rng: np.random.Generator):
@@ -164,45 +166,68 @@ class MOS2D(Module):
         a = -self.a_log.exp()
         return selective_scan_op(xs.T, delta.T, a, b, c, self.skip_gain).T
 
-    def _prescan(self, feat: Tensor, cond: LevelConditioning | None):
+    def _tokens_in(self, tokens: Tensor, cond: LevelConditioning | None):
+        """Raster-order tokens (n, C) -> (scan input x, gate z), each (n, C)."""
+        cfg = self.cfg
+        xz = self.in_proj(tokens)
+        x = xz.slice_axis(1, 0, cfg.channels)
+        z = xz.slice_axis(1, cfg.channels, 2 * cfg.channels)
+        if cfg.conditioned:
+            x = dafm_apply(x, cond.scale, cond.bias)
+        return x, z
+
+    def _scan_params(self, xs: Tensor, cond: LevelConditioning | None):
+        """Scan-order tokens (n, C) -> (delta, b, c)."""
+        if self.cfg.conditioned:
+            return self.head(cond.dsam.apply(xs, cond.attention))
+        return self.head(self.x_proj(xs))
+
+    def _prescan(self, feat: Tensor, cond: LevelConditioning | None,
+                 norm: Module | None):
         """Everything before the scan: (xs, z, delta, b, c, perm) with the
         scan input xs and its parameters in scan order and the gate z in
-        raster order."""
+        raster order; `norm`, a per-pixel module, is applied to feat first."""
         cfg = self.cfg
         if cfg.conditioned and cond is None:
             raise ContractError("conditioned MOS2D requires level conditioning")
         if not cfg.conditioned and cond is not None:
             raise ContractError("unconditioned MOS2D must not receive conditioning")
         C, H, W = feat.shape
-        tokens = feat.reshape(C, H * W).T                 # (L, C) raster order
-        xz = self.in_proj(tokens)
-        x = xz.slice_axis(1, 0, cfg.channels)
-        z = xz.slice_axis(1, cfg.channels, 2 * cfg.channels)
-        if cfg.conditioned:
-            x = dafm_apply(x, cond.scale, cond.bias)
+        L = H * W
+
+        def tokens_in(s, e):
+            # the whole map is normed as it is, so the tape records the
+            # graph (and sums the gradients) of the unbanded layer
+            p = feat if e - s == L else feat.reshape(C, 1, L).slice_axis(2, s, e)
+            if norm is not None:
+                p = norm(p)
+            return self._tokens_in(p.reshape(C, e - s).T, cond)
+
+        x, z = per_band(tokens_in, L)
         perm = cached_order(H, W, cfg.scan_kind)
         xs = x.take(perm.forward)                         # scan order
-        if cfg.conditioned:
-            f_dsam = cond.dsam.apply(xs, cond.attention)
-        else:
-            f_dsam = self.x_proj(xs)
-        delta, b, c = self.head(f_dsam)
+        del x
+        delta, b, c = per_band(
+            lambda s, e: self._scan_params(xs.slice_axis(0, s, e), cond), L)
         return xs, z, delta, b, c, perm
 
-    def forward(self, feat: Tensor,
-                cond: LevelConditioning | None = None) -> Tensor:
-        xs, z, delta, b, c, perm = self._prescan(feat, cond)
+    def forward(self, feat: Tensor, cond: LevelConditioning | None = None,
+                norm: Module | None = None) -> Tensor:
+        xs, z, delta, b, c, perm = self._prescan(feat, cond, norm)
         ys = self._scan(xs, delta, b, c)
         if self.cfg.bidirectional:
             rev = np.arange(len(perm) - 1, -1, -1)
             ys = ys + self._scan(xs.take(rev), delta.take(rev), b.take(rev),
                                  c.take(rev)).take(rev)
+        del xs, delta, b, c                 # not held through the gate's bands
         y = ys.take(perm.inverse)                         # back to raster order
-        out = self.out_proj(y * z.silu())
+        del ys
+        (out,) = per_band(lambda s, e: (self.out_proj(
+            y.slice_axis(0, s, e) * z.slice_axis(0, s, e).silu()),), len(perm))
         return out.T.reshape(feat.shape)
 
-    def decompose(self, feat: Tensor,
-                  cond: LevelConditioning | None = None):
+    def decompose(self, feat: Tensor, cond: LevelConditioning | None = None,
+                  norm: Module | None = None):
         """(H, W) maps of the scan's long-range term, local term, and output,
         averaged over inner channels, plus the max reconstruction deviation
         |longrange + local + skip - y|. A bidirectional block adds each term
@@ -212,7 +237,7 @@ class MOS2D(Module):
         _, H, W = feat.shape
         D = self.skip_gain.data
         with no_grad():
-            xs, _, delta, b, c, perm = self._prescan(feat, cond)
+            xs, _, delta, b, c, perm = self._prescan(feat, cond, norm)
             a = -np.exp(self.a_log.data)
 
             def terms(order):
@@ -262,5 +287,5 @@ class MDSL(Module):
 
     def forward(self, feat: Tensor,
                 cond: LevelConditioning | None = None) -> Tensor:
-        mid = self.mos2d(self.norm1(feat), cond) + feat
+        mid = self.mos2d(feat, cond, self.norm1) + feat
         return self.cab(self.conv(self.norm2(mid))) + mid

@@ -170,7 +170,7 @@ def _cmd_decompose(args) -> int:
                                              bb.dsam_mods[0], priors)
         layer = bb.enc_groups[0][0]
         longrange, local, y, deviation = layer.mos2d.decompose(
-            layer.norm1(feat), cond)
+            feat, cond, layer.norm1)
     os.makedirs(args.outdir, exist_ok=True)
 
     def save_gray(name: str, m: np.ndarray) -> None:

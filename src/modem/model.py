@@ -178,7 +178,8 @@ class Backbone(Module):
             feat = layer(feat, cond[-1])
         for i in range(len(self.dec_groups) - 1, -1, -1):
             feat = ops.pixel_shuffle(self.up[i](feat), 2)
-            feat = self.fuse[i](Tensor.concat([feat, skips[i]], axis=0))
+            # pop: a skip is not held once fused (the loop runs i downward)
+            feat = self.fuse[i](Tensor.concat([feat, skips.pop()], axis=0))
             for layer in self.dec_groups[i]:
                 feat = layer(feat, cond[i])
         for layer in self.refine:

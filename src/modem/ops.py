@@ -8,27 +8,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, bands
 
 
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """x: (C, H, W) -> cols (C*k*k, H*W) of x zero-padded by `pad`, with
-    2*pad = k - 1 so that each output pixel has one k x k window."""
+def _im2col(x: np.ndarray, k: int, r0: int, r1: int) -> np.ndarray:
+    """cols (C*k*k, (r1-r0)*W) of output rows r0..r1 of a same-padded k x k
+    convolution of x (C, H, W), k odd: column (i - r0)*W + j holds the
+    window around pixel (i, j) of x zero-padded by k // 2. Only the rows of
+    x those windows reach are read and padded."""
     C, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    pad = k // 2
+    if pad:
+        lo, hi = max(r0 - pad, 0), min(r1 + pad, H)
+        xp = np.pad(x[:, lo:hi],
+                    ((0, 0), (pad - (r0 - lo), pad - (hi - r1)), (pad, pad)))
+    else:
+        xp = x[:, r0:r1]
     s0, s1, s2 = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(C, k, k, H, W),
+        shape=(C, k, k, r1 - r0, W),
         strides=(s0, s1, s2, s1, s2),
         writeable=False,
     )
-    return view.reshape(C * k * k, H * W)
+    return view.reshape(C * k * k, (r1 - r0) * W)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Same-padded 2-D convolution (cross-correlation), x: (C_in,H,W),
-    w: (C_out,C_in,k,k) with k odd."""
+    w: (C_out,C_in,k,k) with k odd.
+
+    The forward runs one GEMM per band of output rows (`bands`), so no
+    whole-image im2col exists; the backward rebuilds the whole columns
+    from x for the weight gradient, which sums over every pixel."""
     Cin, H, W = x.shape
     Cout, Cin_w, k, k2 = w.shape
     if Cin != Cin_w or k != k2:
@@ -37,16 +49,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError("conv2d: same-padding requires odd kernel")
     pad = (k - 1) // 2
 
-    cols = _im2col(x.data, k, pad)
     wmat = w.data.reshape(Cout, Cin * k * k)
-    out = (wmat @ cols).reshape(Cout, H, W)
+    out = np.empty((Cout, H, W))
+    for r0, r1 in bands(H, W):
+        np.matmul(wmat, _im2col(x.data, k, r0, r1),
+                  out=out[:, r0:r1].reshape(Cout, (r1 - r0) * W))
     if b is not None:
-        out = out + b.data[:, None, None]
+        out += b.data[:, None, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(grad):
         gy = grad.reshape(Cout, H * W)
-        gw = (gy @ cols.T).reshape(w.shape)
+        gw = (gy @ _im2col(x.data, k, 0, H).T).reshape(w.shape)
         gcols = (wmat.T @ gy).reshape(Cin, k, k, H, W)
         gx_pad = np.zeros((Cin, H + 2 * pad, W + 2 * pad))
         for ki in range(k):

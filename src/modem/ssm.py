@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, is_recording
+from .tensor import STREAM_TOKENS, ShapeError, Tensor, is_recording
 
 # Below this |delta * A| the (exp(u) - 1)/A factor switches to its series.
 SERIES_THRESHOLD = 1e-8
@@ -104,7 +104,8 @@ CHUNKED_MAX_DN = 112
 BLOCK = 256
 
 # A chunked no-grad scan is streamed in whole chunks, about STREAM_TOKENS
-# tokens per block. Timed on the same host against the whole sequence,
+# tokens per block (the package's band constant, see `tensor.bands`).
+# Timed on the same host against the whole sequence,
 # STREAM_TOKENS = 4096 / 8192 / 12288 / 16384 -> whole (token-major no-grad
 # scans, median of 11, interleaved):
 #   (8, 65536, 4) scan, ms      55 / 57 / 54 / 69 -> 72
@@ -115,7 +116,6 @@ BLOCK = 256
 # 256x256 0.55 / 0.60 s, 190x250 0.32 / 0.31 s. Past 12288 tokens a
 # block's chunk-major copies outgrow the cache; 4096 ties with 8192 on
 # time and holds less.
-STREAM_TOKENS = 4096
 
 
 def _chunk_len(d_n: int, L: int) -> int:
@@ -232,12 +232,13 @@ def _scan_backward(dy, x, C, Abar, Bbar, states):
     # recurrence run over reversed views.
     dh = dy[:, :, None] * C[None, :, :]
     rev = dh[:, ::-1]
-    _linear_recurrence(Abar[:, :0:-1], rev[:, 1:],
-                       _chunk_len(d * C.shape[1], L), rev[:, 0])
+    if L:
+        _linear_recurrence(Abar[:, :0:-1], rev[:, 1:],
+                           _chunk_len(d * C.shape[1], L), rev[:, 0])
     dx = np.einsum("dln,dln->dl", dh, Bbar)
     dC = np.einsum("dl,dln->ln", dy, states)
     dAbar = np.empty_like(dh)
-    dAbar[:, 0] = 0.0
+    dAbar[:, :1] = 0.0
     np.multiply(dh[:, 1:], states[:, :-1], out=dAbar[:, 1:])
     dBbar = dh * x[:, :, None]
     return dx, dC, dAbar, dBbar

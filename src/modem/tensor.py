@@ -41,6 +41,49 @@ def is_recording(parents) -> bool:
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
+# The band rule. Work that is independent per pixel (token) runs in bands
+# of at most STREAM_TOKENS pixels, so that off the tape no whole-image
+# temporary of it exists: `ops.conv2d` builds its im2col columns per band
+# of whole output rows, MOS2D runs its token-wise chain per band of tokens
+# without the tape (`per_band`), and `Tensor.matmul` forms a 2-D product
+# with more rows per band of rows, on the tape or off it, so both paths
+# sum every product in the same GEMMs and give the same bytes. Work on at
+# most STREAM_TOKENS pixels is one band, the whole array. The chunked scan
+# streams its no-grad blocks in about as many tokens (ssm).
+STREAM_TOKENS = 4096
+
+
+def bands(n: int, width: int = 1) -> list[tuple[int, int]]:
+    """[start, stop) of the bands covering range(n) in order, each of as
+    many rows of `width` pixels as STREAM_TOKENS pixels hold, and at least
+    one row. A last band of one row takes a row from the band before it:
+    numpy sums a lone pixel's channels pairwise, not row by row as across a
+    wider band or the whole map, so a per-pixel norm over it would round
+    otherwise."""
+    step = max(1, STREAM_TOKENS // max(1, width))
+    starts = list(range(0, n, step))
+    if n > step and n % step == 1:
+        starts[-1] -= 1
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def per_band(fn, n: int) -> tuple:
+    """fn(start, stop) -> Tensors whose leading axis runs over tokens
+    start..stop, evaluated band by band (`bands(n)`) off the tape and
+    written into whole arrays; on the tape, or for one band, fn(0, n)."""
+    spans = bands(n)
+    if _GRAD_ENABLED or len(spans) <= 1:
+        return fn(0, n)
+    whole = None
+    for s, e in spans:
+        parts = fn(s, e)
+        if whole is None:
+            whole = tuple(np.empty((n, *p.shape[1:])) for p in parts)
+        for w, p in zip(whole, parts):
+            w[s:e] = p.data
+    return tuple(Tensor(w) for w in whole)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -252,6 +295,8 @@ class Tensor:
         return Tensor.from_op(data, tensors, backward)
 
     def slice_axis(self, axis: int, start: int, stop: int):
+        if (start, stop) == (0, self.shape[axis]):
+            return self                 # the whole axis: no copy, no tape node
         sl = [slice(None)] * self.ndim
         sl[axis] = slice(start, stop)
         sl = tuple(sl)
@@ -294,8 +339,13 @@ class Tensor:
             raise ShapeError(
                 f"matmul inner dims disagree: {self.shape} x {other.shape}"
             )
-        data = self.data @ other.data
         a, b = self, other
+        if a.ndim == 2 and b.ndim == 2 and len(a.data) > STREAM_TOKENS:
+            data = np.empty((len(a.data), b.shape[1]))
+            for s, e in bands(len(a.data)):
+                data[s:e] = a.data[s:e] @ b.data
+        else:
+            data = a.data @ b.data
 
         def backward(grad):
             ad, bd = a.data, b.data

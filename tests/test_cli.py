@@ -273,6 +273,18 @@ class TestDecompose:
         text = capsys.readouterr().out
         assert "identity_deviation: 0.000e+00" in text
 
+    def test_input_larger_than_a_band(self, trained, tmp_path, capsys):
+        # 66 x 66 pixels are more than one band (tensor.STREAM_TOKENS = 4096)
+        _, cfg_path, _, stage2 = trained
+        lq, _ = make_ppm_pair(tmp_path, patch=66)
+        outdir = str(tmp_path / "maps")
+        assert main(["decompose", "--checkpoint", stage2, "--config",
+                     cfg_path, "--in", lq, "--outdir", outdir]) == 0
+        for name in ("longrange.ppm", "local.ppm", "output.ppm"):
+            assert read_ppm(os.path.join(outdir, name)).shape == (3, 66, 66)
+        text = capsys.readouterr().out
+        assert "identity_deviation: 0.000e+00" in text
+
 
 class TestParams:
     def test_counts_and_reference_delta(self, trained, capsys):

@@ -492,6 +492,21 @@ class TestScanGradients:
         for g, w in zip(scan_backward(*args), always_mask_scan_backward(*args)):
             assert g.tobytes() == w.tobytes()
 
+    def test_empty_sequence_backward(self, rng):
+        # (d, L, N) = (3, 0, 2): every gradient is empty or zero, with its
+        # parent's shape
+        d, N = 3, 2
+        parents = [Tensor(a, requires_grad=True) for a in (
+            np.empty((d, 0)), np.empty((d, 0)), -rng.uniform(0.5, 2, (d, N)),
+            np.empty((0, N)), np.empty((0, N)), rng.normal(size=d))]
+        out = selective_scan_op(*parents)
+        assert out.shape == (d, 0) and out.requires_grad
+        (out.sum() + parents[5].sum()).backward()
+        for p in parents:
+            assert p.grad.shape == p.shape
+        assert not parents[2].grad.any()
+        assert np.array_equal(parents[5].grad, np.ones(d))
+
 
 T = 8
 RECURRENCE_CASES = [(d, N, L) for d, N in ((1, 1), (8, 4), (288, 8))
