@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import gradcheck, metrics
-from .blocks import LevelConditioning
 from .config import ConfigError, env_seed, load_config
 from .fileio import PPMFormatError, atomic_write_text, read_ppm, write_ppm
 from .model import CheckpointFormatError, load_checkpoint
@@ -46,6 +45,10 @@ def _cmd_scan_compare(args) -> int:
         except MemoryError:
             print(f"error: a {args.height}x{args.width} grid does not fit "
                   "in memory", file=sys.stderr)
+            return USAGE_ERROR
+        except ValueError as exc:
+            print(f"error: a {args.height}x{args.width} grid: {exc}",
+                  file=sys.stderr)
             return USAGE_ERROR
         rows.append(
             f"{kind},{args.height},{args.width},{np.median(times):.6e},"
@@ -161,19 +164,15 @@ def _cmd_decompose(args) -> int:
     model, lq, _, ddem_in = inputs
     with no_grad():
         priors = model.ddem(Tensor(ddem_in))
-        mult = 1 << (model.backbone_cfg.levels - 1)
-        _, H, W = lq.shape
-        x = Tensor(lq).reflect_pad2d((-H) % mult, (-W) % mult)
-        feat = model.backbone.embed(x)
-        bb = model.backbone
-        cond = LevelConditioning.from_priors(bb.dafm_adapters[0],
-                                             bb.dsam_mods[0], priors)
-        layer = bb.enc_groups[0][0]
+        _, feat, cond = model.backbone.front_end(Tensor(lq), priors)
+        layer = model.backbone.enc_groups[0][0]
         longrange, local, y, deviation = layer.mos2d.decompose(
-            feat, cond, layer.norm1)
+            feat, cond[0], layer.norm1)
     os.makedirs(args.outdir, exist_ok=True)
+    _, H, W = lq.shape
 
     def save_gray(name: str, m: np.ndarray) -> None:
+        m = m[:H, :W]                   # drop the model's reflect padding
         lo, hi = m.min(), m.max()
         g = (m - lo) / (hi - lo) if hi > lo else np.zeros_like(m)
         write_ppm(os.path.join(args.outdir, name), np.stack([g, g, g]))

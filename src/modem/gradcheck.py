@@ -218,7 +218,3 @@ CHECKS = {
     "ddem": check_ddem,
     "losses": check_losses,
 }
-
-
-def run_all(seed: int = 0) -> dict[str, float]:
-    return {name: fn(seed=seed) for name, fn in CHECKS.items()}

@@ -152,22 +152,23 @@ class Backbone(Module):
         # identity map at initialization.
         self.out_conv = Conv2d(chans[0], 3, 3, None)
 
-    def forward(self, image: Tensor, priors: DegradationPriors) -> Tensor:
+    def front_end(self, image: Tensor, priors: DegradationPriors):
+        """(x, feat, cond): the image reflect-padded so H and W are multiples
+        of 2^(levels-1), its embedding, and each level's conditioning."""
         if priors is None:
             raise ContractError("backbone requires degradation priors")
         _, H, W = image.shape
         mult = 1 << (self.cfg.levels - 1)
-        pad_h = (-H) % mult
-        pad_w = (-W) % mult
-        x = image.reflect_pad2d(pad_h, pad_w)
-        residual = x
-
+        x = image.reflect_pad2d((-H) % mult, (-W) % mult)
         cond = [
             LevelConditioning.from_priors(self.dafm_adapters[i],
                                           self.dsam_mods[i], priors)
             for i in range(self.cfg.levels)
         ]
-        feat = self.embed(x)
+        return x, self.embed(x), cond
+
+    def forward(self, image: Tensor, priors: DegradationPriors) -> Tensor:
+        x, feat, cond = self.front_end(image, priors)
         skips = []
         for i, group in enumerate(self.enc_groups):
             for layer in group:
@@ -184,8 +185,9 @@ class Backbone(Module):
                 feat = layer(feat, cond[i])
         for layer in self.refine:
             feat = layer(feat, cond[0])
-        out = self.out_conv(feat) + residual
-        if pad_h or pad_w:
+        out = self.out_conv(feat) + x
+        _, H, W = image.shape
+        if x.shape != image.shape:
             out = out.slice_axis(1, 0, H).slice_axis(2, 0, W)
         return out
 

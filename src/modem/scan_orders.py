@@ -5,14 +5,15 @@ column index, row bits in the even (low) lanes, so an aligned 2x2 block is
 visited (0,0),(1,0),(0,1),(1,1). Raster, boustrophedon ("continuous"),
 local-window and Hilbert orders are provided as baselines.
 
-Non-power-of-two grids are handled by virtually padding to the next power
-of two and dropping the codes of out-of-range cells; the relative order of
-the remaining cells is unchanged.
+Every order is one stable argsort of an integer key per cell. Cells with
+equal keys keep their raster order, so a local window is visited row by row,
+and on a non-power-of-two grid the Morton and Hilbert orders are those of
+the next power-of-two grid with the out-of-range cells dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,106 +25,23 @@ _M16 = 0x0000FFFF0000FFFF
 _M32 = 0x00000000FFFFFFFF
 
 
-def _spread_bits(n: int) -> int:
-    """Spread the low 32 bits of n into the even bit lanes of a 64-bit word."""
-    n &= _M32
-    n = (n | (n << 16)) & _M16
-    n = (n | (n << 8)) & _M8
-    n = (n | (n << 4)) & _M4
-    n = (n | (n << 2)) & _M2
-    n = (n | (n << 1)) & _M1
-    return n
-
-
-def _compact_bits(n: int) -> int:
-    n &= _M1
-    n = (n | (n >> 1)) & _M2
-    n = (n | (n >> 2)) & _M4
-    n = (n | (n >> 4)) & _M8
-    n = (n | (n >> 8)) & _M16
-    n = (n | (n >> 16)) & _M32
-    return n
-
-
-def morton_encode(i: int, j: int) -> int:
-    """Interleave bits of (i, j); bit 2t of the code is bit t of i."""
-    return _spread_bits(i) | (_spread_bits(j) << 1)
-
-
-def morton_decode(z: int) -> tuple[int, int]:
-    return _compact_bits(z), _compact_bits(z >> 1)
-
-
 def _spread_bits_u64(n: np.ndarray) -> np.ndarray:
+    """Spread the low 32 bits of n into the even bit lanes of 64-bit words."""
     n = n.astype(np.uint64) & np.uint64(_M32)
     for shift, mask in ((16, _M16), (8, _M8), (4, _M4), (2, _M2), (1, _M1)):
         n = (n | (n << np.uint64(shift))) & np.uint64(mask)
     return n
 
 
-def _compact_bits_u64(n: np.ndarray) -> np.ndarray:
-    n = n.astype(np.uint64) & np.uint64(_M1)
-    for shift, mask in ((1, _M2), (2, _M4), (4, _M8), (8, _M16), (16, _M32)):
-        n = (n | (n >> np.uint64(shift))) & np.uint64(mask)
-    return n
-
-
 def morton_encode_array(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Interleave bits of (i, j) elementwise; bit 2t of a code is bit t of i."""
     return _spread_bits_u64(i) | (_spread_bits_u64(j) << np.uint64(1))
 
 
-def morton_decode_array(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = z.astype(np.uint64)
-    return _compact_bits_u64(z), _compact_bits_u64(z >> np.uint64(1))
-
-
-def hilbert_encode(i: int, j: int, order: int) -> int:
-    """Hilbert index of cell (i, j) on a 2^order square grid."""
-    n = 1 << order
-    if not (n & (n - 1) == 0) or i >= n or j >= n:
-        raise ValueError("hilbert_encode requires a power-of-two grid")
-    rx = ry = 0
-    d = 0
-    x, y = j, i
-    s = n >> 1
-    while s > 0:
-        rx = 1 if (x & s) > 0 else 0
-        ry = 1 if (y & s) > 0 else 0
-        d += s * s * ((3 * rx) ^ ry)
-        # rotate quadrant
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        s >>= 1
-    return d
-
-
-def hilbert_decode(d: int, order: int) -> tuple[int, int]:
-    n = 1 << order
-    x = y = 0
-    t = d
-    s = 1
-    while s < n:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s <<= 1
-    return y, x
-
-
 def _hilbert_encode_array(i: np.ndarray, j: np.ndarray, order: int) -> np.ndarray:
-    x = j.astype(np.int64).copy()
-    y = i.astype(np.int64).copy()
-    d = np.zeros_like(x)
+    """Hilbert index of each cell (i, j) on a 2^order square grid."""
+    x, y = np.broadcast_arrays(j.astype(np.int64), i.astype(np.int64))
+    d = np.zeros(x.shape, dtype=np.int64)
     s = 1 << (order - 1) if order > 0 else 0
     while s > 0:
         rx = ((x & s) > 0).astype(np.int64)
@@ -149,13 +67,7 @@ class ScanPermutation:
     height: int
     width: int
     forward: np.ndarray
-    inverse: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.inverse is None:
-            inv = np.empty_like(self.forward)
-            inv[self.forward] = np.arange(self.forward.size, dtype=np.int64)
-            object.__setattr__(self, "inverse", inv)
+    inverse: np.ndarray
 
     def __len__(self) -> int:
         return self.height * self.width
@@ -164,80 +76,36 @@ class ScanPermutation:
 SCAN_KINDS = ("raster", "continuous", "local", "morton", "hilbert")
 
 
+def _scan_key(height: int, width: int, kind: str, window: int) -> np.ndarray:
+    """(H, W) integer key whose ascending order, ties in raster order, is
+    the scan."""
+    i = np.arange(height, dtype=np.int64)[:, None]
+    j = np.arange(width, dtype=np.int64)[None, :]
+    if kind == "raster":
+        return i * width + j
+    if kind == "continuous":
+        return i * width + np.where(i % 2 == 1, width - 1 - j, j)
+    if kind == "local":
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        return (i // window) * -(-width // window) + j // window
+    if kind == "morton":
+        return morton_encode_array(i, j)
+    if kind == "hilbert":
+        order = max((max(height, width) - 1).bit_length(), 1)
+        return _hilbert_encode_array(i, j, order)
+    raise ValueError(f"unknown scan kind {kind!r}")
+
+
 def build_order(height: int, width: int, kind: str,
                 window: int = 8) -> ScanPermutation:
     if height < 1 or width < 1:
         raise ValueError("grid extents must be >= 1")
-    n_cells = height * width
-    if kind == "raster":
-        fwd = np.arange(n_cells, dtype=np.int64)
-    elif kind == "continuous":
-        rows = np.arange(n_cells, dtype=np.int64).reshape(height, width)
-        rows[1::2] = rows[1::2, ::-1]
-        fwd = rows.reshape(-1)
-    elif kind == "local":
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        order = []
-        for bi in range(0, height, window):
-            for bj in range(0, width, window):
-                sub = [
-                    i * width + j
-                    for i in range(bi, min(bi + window, height))
-                    for j in range(bj, min(bj + window, width))
-                ]
-                order.extend(sub)
-        fwd = np.asarray(order, dtype=np.int64)
-    elif kind == "morton":
-        fwd = _morton_order(height, width)
-    elif kind == "hilbert":
-        fwd = _hilbert_order(height, width)
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
-    return ScanPermutation(height, width, fwd)
-
-
-def _morton_order(height: int, width: int) -> np.ndarray:
-    if height == width and height & (height - 1) == 0:
-        # Power-of-two square: the code itself is the sequence position.
-        codes = np.arange(height * width, dtype=np.uint64)
-        i, j = morton_decode_array(codes)
-        return (i.astype(np.int64) * width + j.astype(np.int64))
-    ii, jj = np.meshgrid(
-        np.arange(height, dtype=np.uint64),
-        np.arange(width, dtype=np.uint64),
-        indexing="ij",
-    )
-    codes = morton_encode_array(ii.ravel(), jj.ravel())
-    return np.argsort(codes, kind="stable").astype(np.int64)
-
-
-def _hilbert_order(height: int, width: int) -> np.ndarray:
-    side = max(height, width)
-    order = max((side - 1).bit_length(), 1)
-    ii, jj = np.meshgrid(
-        np.arange(height, dtype=np.int64),
-        np.arange(width, dtype=np.int64),
-        indexing="ij",
-    )
-    codes = _hilbert_encode_array(ii.ravel(), jj.ravel(), order)
-    return np.argsort(codes, kind="stable").astype(np.int64)
-
-
-def gather_seq(x: np.ndarray, perm: ScanPermutation) -> np.ndarray:
-    """(C, H, W) -> (C, L) in scan order."""
-    C, H, W = x.shape
-    if (H, W) != (perm.height, perm.width):
-        raise ValueError(f"permutation is {perm.height}x{perm.width}, got {H}x{W}")
-    return x.reshape(C, H * W)[:, perm.forward]
-
-
-def scatter_seq(seq: np.ndarray, perm: ScanPermutation) -> np.ndarray:
-    """(C, L) in scan order -> (C, H, W); exact inverse of gather_seq."""
-    C, L = seq.shape
-    if L != len(perm):
-        raise ValueError(f"sequence length {L} != {len(perm)}")
-    return seq[:, perm.inverse].reshape(C, perm.height, perm.width)
+    key = _scan_key(height, width, kind, window).ravel()
+    forward = np.argsort(key, kind="stable").astype(np.int64, copy=False)
+    inverse = np.empty_like(forward)
+    inverse[forward] = np.arange(forward.size, dtype=np.int64)
+    return ScanPermutation(height, width, forward, inverse)
 
 
 def locality_stats(perm: ScanPermutation) -> dict[str, float]:
@@ -274,4 +142,3 @@ def block_contiguity_depth(perm: ScanPermutation) -> int:
         else:
             break
     return depth
-

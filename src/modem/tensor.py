@@ -378,14 +378,6 @@ class Tensor:
 
         return Tensor.from_op(data, (self,), backward)
 
-    def log(self):
-        data = np.log(self.data)
-
-        def backward(grad):
-            return (grad / self.data,)
-
-        return Tensor.from_op(data, (self,), backward)
-
     def sqrt(self):
         data = np.sqrt(self.data)
 

@@ -54,6 +54,15 @@ class TestScanCompare:
         assert exc.value.code == 2
         assert argv[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,grid", [(["--height", "1"], "1x8"),
+                                           (["--width", "1"], "8x1")])
+    def test_grid_without_neighbours_is_usage_error(self, argv, grid, capsys):
+        # locality statistics need both extents >= 2
+        assert main(["scan-compare", "--height", "8", "--width", "8",
+                     *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and grid in err
+
     def test_grid_too_large_is_usage_error(self, monkeypatch, capsys):
         def no_memory(*args, **kwargs):
             raise MemoryError
@@ -284,6 +293,21 @@ class TestDecompose:
             assert read_ppm(os.path.join(outdir, name)).shape == (3, 66, 66)
         text = capsys.readouterr().out
         assert "identity_deviation: 0.000e+00" in text
+
+
+    def test_maps_are_input_sized(self, trained, tmp_path, capsys):
+        # 45 x 61 is reflect-padded to a multiple of 2^(levels-1) inside
+        # the backbone; the maps are cropped back to the input, as restore's
+        # output is
+        _, cfg_path, _, stage2 = trained
+        lq = str(tmp_path / "lq.ppm")
+        write_ppm(lq, make_clean_image(21, 45, 61))
+        outdir = str(tmp_path / "maps")
+        assert main(["decompose", "--checkpoint", stage2, "--config",
+                     cfg_path, "--in", lq, "--outdir", outdir]) == 0
+        for name in ("longrange.ppm", "local.ppm", "output.ppm"):
+            assert read_ppm(os.path.join(outdir, name)).shape == (3, 45, 61)
+        assert "identity_deviation: 0.000e+00" in capsys.readouterr().out
 
 
 class TestParams:

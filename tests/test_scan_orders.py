@@ -5,21 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modem.scan_orders import (SCAN_KINDS, ScanPermutation,
+from modem.scan_orders import (SCAN_KINDS, _hilbert_encode_array,
                                block_contiguity_depth, build_order,
-                               gather_seq, hilbert_decode, hilbert_encode,
-                               locality_stats, morton_decode,
-                               morton_decode_array, morton_encode,
-                               morton_encode_array, scatter_seq)
+                               locality_stats, morton_encode_array)
+from modem.tensor import Tensor
+from scan_refs import (deinterleave_oracle, hilbert_decode, hilbert_encode,
+                       interleave_oracle, reference_order)
 
 
-def interleave_oracle(i: int, j: int) -> int:
-    """Loop-based bit interleave: row bits in the even (low) lanes."""
-    z = 0
-    for b in range(32):
-        z |= ((i >> b) & 1) << (2 * b)
-        z |= ((j >> b) & 1) << (2 * b + 1)
-    return z
+def morton_code(i: int, j: int) -> int:
+    return int(morton_encode_array(np.uint64(i), np.uint64(j)))
 
 
 class TestMortonEncoding:
@@ -28,29 +23,29 @@ class TestMortonEncoding:
         (2, 3, 14), (5, 3, 27),
     ])
     def test_known_codes(self, i, j, z):
-        assert morton_encode(i, j) == z
-        assert morton_decode(z) == (i, j)
+        assert morton_code(i, j) == z
+        assert deinterleave_oracle(z) == (i, j)
 
     def test_matches_loop_oracle_random(self, rng):
         for _ in range(2000):
             i = int(rng.integers(0, 1 << 20))
             j = int(rng.integers(0, 1 << 20))
-            assert morton_encode(i, j) == interleave_oracle(i, j)
+            assert morton_code(i, j) == interleave_oracle(i, j)
 
     def test_array_matches_scalar(self, rng):
         i = rng.integers(0, 1 << 20, size=500).astype(np.uint64)
         j = rng.integers(0, 1 << 20, size=500).astype(np.uint64)
         z = morton_encode_array(i, j)
         for a, b, c in zip(i, j, z):
-            assert int(c) == morton_encode(int(a), int(b))
-        ri, rj = morton_decode_array(z)
+            assert int(c) == interleave_oracle(int(a), int(b))
+        ri, rj = deinterleave_oracle(z)
         np.testing.assert_array_equal(ri, i)
         np.testing.assert_array_equal(rj, j)
 
     def test_roundtrip_exhaustive_64(self):
         for i in range(64):
             for j in range(64):
-                assert morton_decode(morton_encode(i, j)) == (i, j)
+                assert deinterleave_oracle(morton_code(i, j)) == (i, j)
 
 
 class TestHilbert:
@@ -71,16 +66,45 @@ class TestHilbert:
             assert abs(cur[0] - prev[0]) + abs(cur[1] - prev[1]) == 1
             prev = cur
 
+    def test_array_encoder_matches_scalar(self, rng):
+        order = 10
+        i = rng.integers(0, 1 << order, size=2000)
+        j = rng.integers(0, 1 << order, size=2000)
+        codes = _hilbert_encode_array(i, j, order)
+        for a, b, c in zip(i, j, codes):
+            assert int(c) == hilbert_encode(int(a), int(b), order)
+
     def test_morton_has_adjacency_breaks(self):
         # unlike the Hilbert curve, the Z curve jumps between quadrants
-        breaks = 0
-        prev = morton_decode(0)
-        for z in range(1, 256):
-            cur = morton_decode(z)
-            if abs(cur[0] - prev[0]) + abs(cur[1] - prev[1]) != 1:
-                breaks += 1
-            prev = cur
-        assert breaks > 0
+        i, j = np.divmod(build_order(16, 16, "morton").forward, 16)
+        steps = np.abs(np.diff(i)) + np.abs(np.diff(j))
+        assert np.count_nonzero(steps != 1) > 0
+
+
+# The grid every kind is checked on against its reference construction;
+# (1, 300) and (300, 1) are single rows and columns, (45, 61) and (190, 250)
+# are not powers of two, and the local windows divide some extents and not
+# others.
+REFERENCE_SHAPES = [(1, 1), (1, 300), (300, 1), (2, 2), (3, 5), (6, 10),
+                    (7, 7), (8, 8), (16, 4), (16, 16), (45, 61), (190, 250),
+                    (256, 256), (1024, 1024)]
+LOCAL_WINDOWS = (1, 3, 8, 16)
+
+
+class TestReferenceConstructions:
+    @pytest.mark.parametrize("kind", SCAN_KINDS)
+    @pytest.mark.parametrize("hw", REFERENCE_SHAPES,
+                             ids=[f"{h}x{w}" for h, w in REFERENCE_SHAPES])
+    def test_matches_reference(self, kind, hw):
+        H, W = hw
+        for window in LOCAL_WINDOWS if kind == "local" else (8,):
+            perm = build_order(H, W, kind, window=window)
+            expect = reference_order(H, W, kind, window=window)
+            assert perm.forward.dtype == np.int64
+            assert perm.inverse.dtype == np.int64
+            np.testing.assert_array_equal(perm.forward, expect)
+            np.testing.assert_array_equal(perm.inverse[expect],
+                                          np.arange(H * W))
 
 
 class TestBuildOrder:
@@ -116,16 +140,9 @@ class TestBuildOrder:
     def test_morton_non_pow2_matches_padded_filter(self):
         H, W = 3, 5
         perm = build_order(H, W, "morton")
-        codes = sorted((morton_encode(i, j), i * W + j)
+        codes = sorted((interleave_oracle(i, j), i * W + j)
                        for i in range(H) for j in range(W))
         np.testing.assert_array_equal(perm.forward, [f for _, f in codes])
-
-    def test_pow2_square_fast_path_matches_general(self):
-        H = W = 16
-        fast = build_order(H, W, "morton").forward
-        codes = sorted((morton_encode(i, j), i * W + j)
-                       for i in range(H) for j in range(W))
-        np.testing.assert_array_equal(fast, [f for _, f in codes])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -161,22 +178,26 @@ class TestLocality:
 
 
 class TestGatherScatter:
+    """Token-major features through `Tensor.take`, as MOS2D reorders them."""
+
     @pytest.mark.parametrize("kind", SCAN_KINDS)
     def test_roundtrip(self, kind, rng):
-        x = rng.normal(size=(3, 6, 5))
+        x = rng.normal(size=(6 * 5, 3))
         perm = build_order(6, 5, kind)
-        np.testing.assert_array_equal(scatter_seq(gather_seq(x, perm), perm), x)
+        seq = Tensor(x).take(perm.forward)
+        np.testing.assert_array_equal(seq.take(perm.inverse).data, x)
 
     def test_gather_order(self):
-        x = np.arange(4.0).reshape(1, 2, 2)
+        x = np.arange(4.0).reshape(4, 1)
         perm = build_order(2, 2, "morton")
-        np.testing.assert_array_equal(gather_seq(x, perm)[0], [0, 2, 1, 3])
+        np.testing.assert_array_equal(Tensor(x).take(perm.forward).data[:, 0],
+                                      [0, 2, 1, 3])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, (1 << 31) - 1), st.integers(0, (1 << 31) - 1))
 def test_morton_roundtrip_property(i, j):
-    assert morton_decode(morton_encode(i, j)) == (i, j)
+    assert deinterleave_oracle(morton_code(i, j)) == (i, j)
 
 
 @settings(max_examples=50, deadline=None)

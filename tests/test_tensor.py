@@ -65,12 +65,12 @@ class TestElementwise:
         np.testing.assert_array_equal(a.grad, np.ones(4))
         np.testing.assert_array_equal(b.grad, -np.ones(4))
 
-    @pytest.mark.parametrize("op", ["exp", "log", "sqrt", "abs", "sigmoid",
-                                    "silu", "softplus"])
+    @pytest.mark.parametrize("op", ["exp", "sqrt", "abs", "sigmoid", "silu",
+                                    "softplus"])
     def test_unary_fd(self, op, rng):
         data = np.abs(rng.normal(size=(3, 4))) + 0.5  # positive, away from 0
         np_fns = {
-            "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+            "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
             "sigmoid": lambda a: 1 / (1 + np.exp(-a)),
             "silu": lambda a: a / (1 + np.exp(-a)),
             "softplus": lambda a: np.log1p(np.exp(a)),
