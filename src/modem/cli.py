@@ -113,9 +113,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_inputs(args):
+def _output_error(path: str, directory: bool) -> str | None:
+    """Why `path` cannot take the output file (with `directory`, the output
+    directory), or None: checked before any work is done."""
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        return f"{path} is {'not ' if directory else ''}a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        return f"{path}: {parent} is not a directory"
+    return None
+
+
+def _load_inputs(args, output: str, directory: bool = False):
     """(model, input image, reference or None, estimator input) for restore
-    and decompose; prints the error and returns None on bad input."""
+    and decompose, once `output` is known to be writable; prints the error
+    and returns None on bad input."""
+    problem = _output_error(output, directory)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return None
     try:
         cfg = load_config(args.config)
         tensors, stage = load_checkpoint(args.checkpoint)
@@ -140,14 +158,18 @@ def _load_inputs(args):
 
 
 def _cmd_restore(args) -> int:
-    inputs = _load_inputs(args)
+    inputs = _load_inputs(args, args.output)
     if inputs is None:
         return USAGE_ERROR
     model, lq, ref, ddem_in = inputs
     with no_grad():
         restored, _ = model(Tensor(lq), Tensor(ddem_in))
     out = np.clip(restored.data, 0.0, 1.0)
-    write_ppm(args.output, out)
+    try:
+        write_ppm(args.output, out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(f"restored: {args.output}")
     if ref is not None:
         print(f"psnr_in: {metrics.psnr(lq, ref):.4f}")
@@ -158,7 +180,7 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    inputs = _load_inputs(args)
+    inputs = _load_inputs(args, args.outdir, directory=True)
     if inputs is None:
         return USAGE_ERROR
     model, lq, _, ddem_in = inputs
@@ -168,7 +190,6 @@ def _cmd_decompose(args) -> int:
         layer = model.backbone.enc_groups[0][0]
         longrange, local, y, deviation = layer.mos2d.decompose(
             feat, cond[0], layer.norm1)
-    os.makedirs(args.outdir, exist_ok=True)
     _, H, W = lq.shape
 
     def save_gray(name: str, m: np.ndarray) -> None:
@@ -177,9 +198,14 @@ def _cmd_decompose(args) -> int:
         g = (m - lo) / (hi - lo) if hi > lo else np.zeros_like(m)
         write_ppm(os.path.join(args.outdir, name), np.stack([g, g, g]))
 
-    save_gray("longrange.ppm", longrange)
-    save_gray("local.ppm", local)
-    save_gray("output.ppm", y)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+        save_gray("longrange.ppm", longrange)
+        save_gray("local.ppm", local)
+        save_gray("output.ppm", y)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(f"maps: {args.outdir}/{{longrange,local,output}}.ppm")
     print(f"identity_deviation: {deviation:.3e}")
     return 0 if deviation < 1e-12 else RUN_FAILURE

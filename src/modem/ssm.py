@@ -7,9 +7,14 @@ Array conventions (d = inner channels, L = sequence length, N = state dim):
     B, C   (L, N)   per-token input/output maps
     D      (d,)     skip gain
 
-The scan is one autodiff primitive: the forward recurrence stores the state
-trajectory and the backward rule is derived by hand (verified against finite
-differences in the tests).
+The scan is one autodiff primitive: on the tape it keeps only the state
+trajectory, one (d, L, N) array, and the hand-derived backward rule
+(verified against finite differences in the tests) rebuilds the ZOH
+factors Abar and phi from (A, delta) with the forward's own call, the same
+bytes, rather than keeping two more (d, L, N) arrays (Mamba's recompute,
+Gu & Dao, arXiv 2312.00752, section 3.3.2). The states themselves are
+kept: rebuilding them in blocks would sum the A and D gradients in another
+order.
 
 Both directions run one in-place linear recurrence,
 h[:, k] += a[:, k] * h[:, k-1]: the forward pass on the states with
@@ -341,20 +346,24 @@ def selective_scan_op(x: Tensor, delta: Tensor, A: Tensor, B: Tensor,
                       C: Tensor, D: Tensor) -> Tensor:
     """Differentiable ZOH + selective scan as one tape primitive.
 
-    When the tape is not recording, neither the states nor a backward
-    closure are kept, and plain-loop scans run block by block
-    (`_scan_blocks`); the output bytes are those of the recording path.
+    On the tape it keeps only the states beside its inputs: the backward
+    rebuilds Abar and phi from (A, delta) with the forward's own
+    `_zoh_factors` call, so they are the same bytes. When the tape is not
+    recording, neither the states nor a backward closure are kept, and
+    plain-loop scans run block by block (`_scan_blocks`); the output bytes
+    are those of the recording path.
     """
     parents = (x, delta, A, B, C, D)
-    xd, dd = x.data, delta.data
-    Ad, Bd, Cd, Dd = A.data, B.data, C.data, D.data
     if not is_recording(parents):
-        return Tensor(_scan_blocks(xd, dd, Ad, Bd, Cd, Dd, False)[0])
-    Abar, phi = _zoh_factors(Ad, dd)
-    y, states, _, _, _ = _scan_forward(xd, Abar, phi * Bd[None, :, :], Cd, Dd,
-                                       _chunk_len(Ad.size, xd.shape[1]))
+        return Tensor(_scan_blocks(*(p.data for p in parents), False)[0])
+    Abar, phi = _zoh_factors(A.data, delta.data)
+    phi *= B.data[None, :, :]
+    y, states, _, _, _ = _scan_forward(x.data, Abar, phi, C.data, D.data,
+                                       _chunk_len(A.size, x.shape[1]))
 
     def backward(grad):
-        return scan_backward(grad, xd, dd, Ad, Bd, Cd, Dd, Abar, phi, states)
+        Abar, phi = _zoh_factors(A.data, delta.data)
+        return scan_backward(grad, *(p.data for p in parents), Abar, phi,
+                             states)
 
     return Tensor.from_op(y, parents, backward)

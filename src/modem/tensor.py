@@ -444,6 +444,12 @@ class Tensor:
     # -- backward pass ----------------------------------------------------------
 
     def backward(self):
+        """Backpropagate this scalar into the `.grad` of every leaf that
+        requires one. The tape is released node by node as it goes: once a
+        node's rule has run and its parent gradients are routed, it drops
+        its closure and parent links, so what the closure saved is freed as
+        soon as nothing else holds it. Every node keeps `.data`; a released
+        graph cannot be backpropagated again (ContractError)."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
         topo: list[Tensor] = []
@@ -462,25 +468,37 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
+        # Popping in reverse post-order runs every consumer of a node before
+        # the node, so once popped and released a node is held only by the
+        # caller's own references.
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
+            rule, parents = node._backward, node._parents
+            if rule is not None:
+                node._backward, node._parents = _released, ()
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
+            if node.requires_grad and rule is None:
                 # Leaf parameter: accumulate. The first gradient is written
                 # in one pass; g + 0.0 rounds as 0.0 + g does, -0.0 included
                 if node.grad is None:
                     node.grad = np.add(g, 0.0, out=np.empty_like(node.data, order="C"))
                 else:
                     node.grad += g
-            if node._backward is None:
+            if rule is None:
                 continue
-            parent_grads = node._backward(g)
-            for p, pg in zip(node._parents, parent_grads):
+            for p, pg in zip(parents, rule(g)):
                 if pg is None or not p.requires_grad:
                     continue
                 if id(p) in grads:
                     grads[id(p)] = grads[id(p)] + pg
                 else:
                     grads[id(p)] = pg
+
+
+def _released(grad):
+    """The rule of a tape node whose graph has been backpropagated."""
+    raise ContractError("backward() through a graph that was already "
+                        "backpropagated; its tape has been released")

@@ -234,7 +234,7 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str) -> TrainResult:
     teacher = DDEM(_ddem_config(cfg, 6), None)
     teacher.load_state({k[len("ddem."):]: v for k, v in tensors.items()
                         if k.startswith("ddem.")})
-    teacher_snapshot = {k: v.data.copy() for k, v in teacher.parameters().items()}
+    teacher_digest = _digests(teacher)
 
     student = build_model(cfg, stage=2, draw=False)
     _inherit_stage1(student, tensors)
@@ -244,7 +244,15 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str) -> TrainResult:
     result = _run_loop(cfg, student, 2, teacher, train_set, heldout, "stage2")
 
     # the teacher must come out of training bit-identical
-    for k, v in teacher.parameters().items():
-        if not np.array_equal(v.data, teacher_snapshot[k]):
+    for k, digest in _digests(teacher).items():
+        if digest != teacher_digest[k]:
             raise RuntimeError(f"teacher parameter {k} changed during stage 2")
     return result
+
+
+def _digests(module: DDEM) -> dict[str, bytes]:
+    """SHA-256 of each parameter's C-ordered bytes: equal digests mean
+    bit-identical weights, without keeping a copy of them."""
+    import hashlib  # here: loading OpenSSL would slow every `modem` import
+    return {k: hashlib.sha256(np.ascontiguousarray(v.data)).digest()
+            for k, v in module.parameters().items()}

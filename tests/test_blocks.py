@@ -1,6 +1,8 @@
 """Architecture blocks: modulation identities, attention properties,
 scan-module contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,33 @@ class TestMOS2D:
         block = MOS2D(cfg, rng)
         out = block(Tensor(rng.normal(size=(4, 5, 6))), toy_cond(rng, cfg))
         assert out.shape == (4, 5, 6)
+
+    def test_backward_frees_what_the_tape_saved(self, rng):
+        # the arrays the graph's closures hold are freed by backward, while
+        # the loss is still referenced
+        cfg = toy_cfg()
+        block = MOS2D(cfg, rng)
+
+        def forward():
+            out = block(Tensor(rng.normal(size=(4, 5, 6))), toy_cond(rng, cfg))
+            loss = (out * out).sum()
+            refs, seen, stack = [], {id(loss)}, [loss]
+            while stack:
+                node = stack.pop()
+                for cell in getattr(node._backward, "__closure__", None) or ():
+                    if isinstance(cell.cell_contents, np.ndarray):
+                        refs.append(weakref.ref(cell.cell_contents))
+                for p in node._parents:
+                    if id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append(p)
+            return loss, refs
+
+        loss, refs = forward()
+        assert len(refs) > 10
+        loss.backward()
+        assert [r for r in refs if r() is not None] == []
+        assert block.in_proj.weight.grad is not None
 
     def test_permutation_equivariance_raster_oracle(self, rng):
         # a morton block on feat equals a raster block (same weights) on the

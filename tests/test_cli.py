@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_run_config
+from modem import cli
 from modem.cli import main
 from modem.data import make_clean_image, synth_degrade
 from modem.fileio import read_ppm, write_ppm
@@ -308,6 +309,57 @@ class TestDecompose:
         for name in ("longrange.ppm", "local.ppm", "output.ppm"):
             assert read_ppm(os.path.join(outdir, name)).shape == (3, 45, 61)
         assert "identity_deviation: 0.000e+00" in capsys.readouterr().out
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error (exit 2) with
+    one `error:` line, found before the config, checkpoint or model is
+    loaded."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+
+        def track(orig):
+            def wrapper(*args, **kwargs):
+                calls.append(orig.__name__)
+                return orig(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_config", "load_checkpoint", "build_model"):
+            monkeypatch.setattr(cli, name, track(getattr(cli, name)))
+        return calls
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("restore", "--out", "taken"),
+        ("restore", "--out", "plain/o.ppm"),
+        ("decompose", "--outdir", "plain"),
+    ], ids=["restore-out-is-directory", "restore-out-under-file",
+            "decompose-outdir-is-file"])
+    def test_usage_error_before_loading(self, trained, tmp_path, capsys, loads,
+                                        command, flag, target):
+        _, cfg_path, _, stage2 = trained
+        lq, _ = make_ppm_pair(tmp_path)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "plain").write_text("x")
+        assert main([command, "--checkpoint", stage2, "--config", cfg_path,
+                     "--in", lq, flag, str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert loads == []
+
+    def test_failed_final_write_is_usage_error(self, trained, tmp_path,
+                                               capsys, monkeypatch):
+        _, cfg_path, _, stage2 = trained
+        lq, _ = make_ppm_pair(tmp_path)
+
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_ppm", full_disk)
+        assert main(["restore", "--checkpoint", stage2, "--config", cfg_path,
+                     "--in", lq, "--out", str(tmp_path / "o.ppm")]) == 2
+        assert "error: [Errno 28] No space left" in capsys.readouterr().err
 
 
 class TestParams:

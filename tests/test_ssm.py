@@ -670,6 +670,31 @@ class TestChunkedKernel:
         assert y.shape == (d, L)
         assert peak < 32e6, peak
 
+    def test_recording_scan_keeps_only_its_states(self, rng):
+        # On the tape the scan keeps its states, one (d, L, N) array, and
+        # rebuilds Abar and phi in the backward: its gradients are the
+        # bytes of the rule fed the factors a storing scan would keep.
+        d, L, N = 16, 4096, 4
+        arrays = random_instance(rng, d=d, N=N, L=L)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = selective_scan_op(*tensors)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1.5 * d * L * N * 8, grown
+        x, delta, A, B, C, D = arrays
+        Abar, phi = _zoh_factors(A, delta)
+        _, states, *_ = ssm._scan_forward(x, Abar, phi * B, C, D,
+                                          ssm._chunk_len(d * N, L))
+        dy = rng.normal(size=(d, L))
+        want = scan_backward(dy, *arrays, Abar, phi, states)
+        (y * Tensor(dy)).sum().backward()
+        for t, w in zip(tensors, want):
+            assert t.grad.tobytes() == w.tobytes()
+
     def test_backward_leaves_saved_arrays_untouched(self, rng):
         x, delta, A, B, C, D = random_instance(rng, d=3, N=4, L=300)
         Abar, phi = _zoh_factors(A, delta)

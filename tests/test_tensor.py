@@ -1,5 +1,7 @@
 """Tape autodiff engine: every primitive against central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,31 @@ class TestGraph:
         with no_grad():
             y = (x * 2.0).sum()
         assert y._parents == ()
+
+    def test_backward_releases_the_tape(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        y = x.exp()
+        loss = (y * x).sum()
+        saved = weakref.ref(y._backward.__closure__[0].cell_contents)
+        del y
+        loss.backward()
+        assert saved() is None
+        assert loss._parents == ()
+        assert x.grad == pytest.approx(4.0 * np.exp(3.0))
+        assert float(loss.data) == pytest.approx(3.0 * np.exp(3.0))
+
+    @pytest.mark.parametrize("again", [lambda loss, y: loss,
+                                       lambda loss, y: (y * 2.0).sum()],
+                             ids=["same-loss", "shared-node"])
+    def test_second_backward_through_released_graph_raises(self, again):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        y = x * x
+        loss = y + x
+        loss.backward()
+        assert x.grad == pytest.approx(7.0)
+        with pytest.raises(ContractError, match="already"):
+            again(loss, y).backward()
+        assert x.grad == pytest.approx(7.0)
 
     def test_mean_grad(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

@@ -381,6 +381,27 @@ class TestStage2:
             for k in trained if k.startswith("ddem."))
         assert moved
 
+    def test_teacher_change_detected(self, stage1_result, tmp_path,
+                                     monkeypatch):
+        # a teacher weight nudged in place during stage 2 ends the run with
+        # an error naming it
+        _, r1 = stage1_result
+        name = "groups.0.0.mos2d.a_log"
+        orig_run_loop = train._run_loop
+
+        def run_loop(cfg, model, stage, teacher, *args):
+            result = orig_run_loop(cfg, model, stage, teacher, *args)
+            w = teacher.parameters()[name].data.reshape(-1)
+            w[3] = np.nextafter(w[3], np.inf)
+            return result
+
+        monkeypatch.setattr(train, "_run_loop", run_loop)
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "stage": 2, "iterations": 1, "periods": [1]}))
+        with pytest.raises(RuntimeError,
+                           match=rf"teacher parameter {name} changed"):
+            train_stage2(cfg, r1.checkpoint_path)
+
     def test_rejects_wrong_stage_checkpoint(self, stage1_result, tmp_path):
         cfg1, r1 = stage1_result
         from modem.model import save_checkpoint
