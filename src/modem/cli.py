@@ -32,6 +32,10 @@ def _cmd_scan_compare(args) -> int:
         if kind not in SCAN_KINDS:
             print(f"error: unknown scan kind {kind!r}", file=sys.stderr)
             return USAGE_ERROR
+    problem = args.out and _output_error(args.out, directory=False)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return USAGE_ERROR
     rows = ["kind,height,width,build_seconds,mean,median,p95,block_depth"]
     for kind in kinds:
         times = []
@@ -57,7 +61,11 @@ def _cmd_scan_compare(args) -> int:
         )
         print(rows[-1])
     if args.out:
-        atomic_write_text(args.out, "\n".join(rows) + "\n")
+        try:
+            atomic_write_text(args.out, "\n".join(rows) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     return 0
 
 

@@ -57,9 +57,6 @@ class Module:
                 )
             p.data = np.require(state[name], np.float64, ("C", "W"))
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.parameters().items()}
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -195,9 +195,12 @@ def _linear_recurrence(a: np.ndarray, h: np.ndarray, T: int,
         prev = h[:, done - 1]
     else:
         prev = carry
-    for k in range(done, L):
-        h[:, k] += a[:, k] * prev
-        prev = h[:, k]
+    tmp = np.empty(prev.shape)
+    steps = zip(np.moveaxis(a, 1, 0)[done:], np.moveaxis(h, 1, 0)[done:])
+    for ak, hk in steps:
+        np.multiply(ak, prev, out=tmp)
+        hk += tmp
+        prev = hk
     return prev.copy()
 
 

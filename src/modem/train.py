@@ -3,6 +3,8 @@ then distillation into a student that sees only the degraded image."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from dataclasses import dataclass
 
@@ -120,27 +122,52 @@ def _check_gradients(params: dict[str, Tensor], step: int) -> None:
                     f"non-finite gradient of {name} at step {step}")
 
 
-def _sample_backward(model: RestorationModel, teacher: DDEM | None,
-                     s: SynthSample, stage: int,
-                     scale: float) -> tuple[float, float, float]:
+def _sample_backward(model: RestorationModel, s: SynthSample, stage: int,
+                     scale: float,
+                     t_z: np.ndarray | None) -> tuple[float, float, float]:
     """Forward one sample and backpropagate its loss times `scale` into the
-    gradients; returns its (l1, cor, kl) losses, kl 0.0 in stage 1. The
-    sample's graph dies with this call, before the next sample's forward
-    or the optimizer step."""
+    gradients; returns its (l1, cor, kl) losses. In stage 2 `t_z` is the
+    teacher's z_tilde for this sample, which the KL term distills; in stage
+    1 it is None and kl is 0.0. The sample's graph dies with this call,
+    before the next sample's forward or the optimizer step."""
     restored, priors = model(Tensor(s.degraded), _ddem_input(s, stage))
     target = Tensor(s.clean)
     l1 = l1_loss(restored, target)
     cor, _ = correlation_loss(restored, target)
     loss = l1 + cor
     kl = 0.0
-    if stage == 2:
-        with no_grad():
-            t_priors = teacher(_ddem_input(s, 1))
-        kl_t = kl_loss(t_priors.z_tilde.data, priors.z_tilde)
+    if t_z is not None:
+        kl_t = kl_loss(t_z, priors.z_tilde)
         loss = loss + kl_t
         kl = float(kl_t.data)
     (loss * scale).backward()
     return float(l1.data), float(cor.data), kl
+
+
+# glibc's mallopt parameters (malloc.h) and the values training pins them
+# to: the largest mmap threshold glibc accepts on 64-bit hosts, so arrays up
+# to 32 MiB come from the heap, and a trim threshold of 1 GiB, so the heap
+# keeps its freed top between samples
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD, MMAP_THRESHOLD = 1 << 30, 32 << 20
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Pin glibc's trim and mmap thresholds, once per process, so that a
+    training step reuses the heap pages the last sample freed instead of
+    handing them back to the kernel and faulting them in again. Setting
+    either one also stops glibc from raising its mmap threshold on its own,
+    so both are set. The setting holds for the whole interpreter; where
+    glibc's mallopt is missing, nothing is done."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
@@ -155,6 +182,10 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
     sched = CosineRestartSchedule(tc.base_lr, list(tc.periods),
                                   list(tc.restart_weights), list(tc.eta_mins))
     batch_rng = np.random.default_rng(cfg.seed + 777)
+    _keep_heap()
+    # the frozen teacher's z_tilde per sample index: the same no-grad
+    # forward of the same input gives the same bytes, so it runs once
+    teacher_z: dict[int, np.ndarray] = {}
 
     rows = [CSV_HEADER]
     totals: list[float] = []
@@ -163,9 +194,13 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
         opt.zero_grad()
         idx = batch_rng.integers(0, len(train_set), size=tc.batch_size)
         l1_acc = cor_acc = kl_acc = 0.0
-        for i in idx:
-            l1, cor, kl = _sample_backward(model, teacher, train_set[int(i)],
-                                           stage, 1.0 / tc.batch_size)
+        for i in map(int, idx):
+            sample = train_set[i]
+            if teacher is not None and i not in teacher_z:
+                with no_grad():
+                    teacher_z[i] = teacher(_ddem_input(sample, 1)).z_tilde.data
+            l1, cor, kl = _sample_backward(
+                model, sample, stage, 1.0 / tc.batch_size, teacher_z.get(i))
             l1_acc += l1
             cor_acc += cor
             kl_acc += kl

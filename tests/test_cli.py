@@ -1,5 +1,8 @@
 """Command-line interface: every subcommand, exit codes, output files."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 
@@ -44,6 +47,22 @@ class TestScanCompare:
 
     def test_unknown_kind_is_usage_error(self):
         assert main(["scan-compare", "--kinds", "zigzag"]) == 2
+
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # found before any order is built or timed
+        built, real = [], cli.build_order
+
+        def build_order(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_order", build_order)
+        assert main(["scan-compare", "--height", "8", "--width", "8",
+                     "--kinds", "raster", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert built == []
 
     @pytest.mark.parametrize("argv", [
         ["--height", "0"], ["--width", "-3"], ["--window", "0", "--kinds",
@@ -148,6 +167,60 @@ class TestTrain:
         assert os.path.exists(stage2)
         assert os.path.exists(str(root / "run" / "loss_stage1.csv"))
         assert os.path.exists(str(root / "run" / "loss_stage2.csv"))
+
+
+# SHA-256 of the outputs of the `trained` run (tests/conftest.py toy config,
+# seed 0) and of a 45x61 restore and decompose from its stage-2 checkpoint,
+# pinned on an x86-64 host with numpy's OpenBLAS at one thread; at the toy
+# widths two threads and the default give the same bytes there
+GOLDEN = {
+    "stage1.ckpt":
+        "3e0fa81e14651fdb35bee97f45b70bab69a9cc51887920c14144451be68bdf77",
+    "loss_stage1.csv":
+        "7d790dcb53e7384e491349c6af4d5aacf681bacf2bebf6064497365013255d0e",
+    "stage2.ckpt":
+        "ca52767130f84693fbc6760f1aadba05d79f56a346312347f66d67ae5ef6db16",
+    "loss_stage2.csv":
+        "1dfcc981e9d3336e5765cd75db2bcb8d74479e9cdefe6316269a96f68c667eed",
+    "restored.ppm":
+        "4d493b869d2aa6d08212e94ad4ffd9d8ad8c9ab6fd9445e33fb2c8029f210c18",
+    "longrange.ppm":
+        "7dcda26341a049244fb693b6fc971f0d0c2b39b8914b499b3c3d749dfe3f7a61",
+    "local.ppm":
+        "5da83cf37a06a3407f6c2d0d9fa3200e41098effc2125683f17866b923765d88",
+    "output.ppm":
+        "5e90d3553e8161c0a01ad1e353b74142a395408700902cb20c11ff5c7a0f0ee9",
+}
+
+
+def test_golden_bytes(trained, tmp_path):
+    """Training, restore and decompose keep their bytes: a change that moves
+    any of them must say why and re-pin GOLDEN."""
+    root, cfg_path, _, stage2 = trained
+    lq = str(tmp_path / "lq.ppm")
+    write_ppm(lq, np.random.default_rng(5).random((3, 45, 61)))
+    restored = str(tmp_path / "restored.ppm")
+    assert main(["restore", "--checkpoint", stage2, "--config", cfg_path,
+                 "--in", lq, "--out", restored]) == 0
+    assert main(["decompose", "--checkpoint", stage2, "--config", cfg_path,
+                 "--in", lq, "--outdir", str(tmp_path)]) == 0
+
+    def digest(name):
+        folder = tmp_path if name.endswith(".ppm") else root / "run"
+        return hashlib.sha256((folder / name).read_bytes()).hexdigest()
+
+    got = {name: digest(name) for name in GOLDEN}
+    moved = {name: got[name] for name in GOLDEN if got[name] != GOLDEN[name]}
+    if moved:
+        blas = io.StringIO()
+        with contextlib.redirect_stdout(blas):
+            np.show_config()
+        pytest.fail(
+            f"bytes moved: {moved}\nOPENBLAS_NUM_THREADS="
+            f"{os.environ.get('OPENBLAS_NUM_THREADS')}\n{blas.getvalue()}\n"
+            "On another BLAS build or CPU the kernels may round differently. "
+            "If the bytes moved on purpose, state why and by how much, then "
+            "re-pin GOLDEN with the digests above.")
 
 
 def make_ppm_pair(tmp_path, patch=32):

@@ -27,6 +27,11 @@ def tiny_backbone_cfg():
                           d_state=3, dt_rank=2)
 
 
+def state_of(module):
+    """A copy of every parameter of `module`, by name."""
+    return {k: v.data.copy() for k, v in module.parameters().items()}
+
+
 class TestDDEM:
     def test_prior_shapes(self, rng):
         cfg = tiny_ddem_cfg()
@@ -202,7 +207,7 @@ class TestCheckpoint:
 
     def test_name_mismatch_on_load_state(self, tmp_path):
         model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
-        state = model.state()
+        state = state_of(model)
         state["bogus.weight"] = np.zeros(3)
         with pytest.raises(KeyError):
             model.load_state(state)
@@ -215,7 +220,7 @@ class TestCheckpoint:
     def test_model_state_roundtrip(self, tmp_path, rng):
         model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, model.state(), stage=1)
+        save_checkpoint(path, state_of(model), stage=1)
         other = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=3)
         tensors, _ = load_checkpoint(path)
         other.load_state(tensors)
@@ -227,14 +232,14 @@ class TestCheckpoint:
 
     def test_load_state_adopts_float64_arrays(self):
         model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
-        state = model.state()
+        state = state_of(model)
         model.load_state(state)
         for name, p in model.parameters().items():
             assert p.data is state[name]
 
     def test_load_state_copies_other_arrays(self):
         model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
-        state = model.state()
+        state = state_of(model)
         state["backbone.embed.weight"].flags.writeable = False
         state["backbone.embed.bias"] = state["backbone.embed.bias"].astype(np.float32)
         state["ddem.stem.bias"] = np.repeat(state["ddem.stem.bias"], 2)[::2]
@@ -251,7 +256,7 @@ class TestCheckpoint:
 
 def tiny_state():
     model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
-    return model.state()
+    return state_of(model)
 
 
 def raw_checkpoint(stage, entries):

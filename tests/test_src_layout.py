@@ -1,9 +1,12 @@
 """Keep test-only code out of the package: every module-level function and
-class in src/modem must be referenced somewhere else in src/modem."""
+class in src/modem, and every method of its classes, must be referenced
+somewhere else in src/modem."""
 
 import ast
 import collections
 import pathlib
+
+import pytest
 
 import modem
 
@@ -11,29 +14,53 @@ import modem
 # configs with config_from_dict.
 EXPORTED = {"config_from_dict"}
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-def names_used(node: ast.AST) -> collections.Counter:
-    """How often each identifier is read as a name or an attribute."""
+
+def names_used(node: ast.AST, kinds=(ast.Name, ast.Attribute)):
+    """How often each identifier is read as one of `kinds`: a name or an
+    attribute."""
     used = collections.Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and ast.Name in kinds:
             used[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and ast.Attribute in kinds:
             used[n.attr] += 1
     return used
 
 
-def test_every_module_level_definition_is_used_in_src():
+@pytest.fixture(scope="module")
+def trees():
     package = pathlib.Path(modem.__file__).parent
-    trees = {p.name: ast.parse(p.read_text())
-             for p in sorted(package.glob("*.py"))}
-    total = sum((names_used(t) for t in trees.values()), collections.Counter())
-    unused = [
-        f"{module}:{d.name}"
-        for module, tree in trees.items() for d in tree.body
-        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        # uses inside the definition itself (recursion) do not count
-        and total[d.name] - names_used(d)[d.name] == 0
-        and d.name not in EXPORTED
-    ]
-    assert not unused, f"defined in src/modem but used only outside it: {unused}"
+    return {p.name: ast.parse(p.read_text())
+            for p in sorted(package.glob("*.py"))}
+
+
+def unused(trees, definitions, kinds=(ast.Name, ast.Attribute)):
+    """The (module, label, definition) triples whose name src/modem never
+    reads as one of `kinds` outside the definition itself (recursion does
+    not count)."""
+    total = sum((names_used(t, kinds) for t in trees.values()),
+                collections.Counter())
+    return [f"{module}:{label}" for module, label, d in definitions
+            if total[d.name] - names_used(d, kinds)[d.name] == 0
+            and d.name not in EXPORTED]
+
+
+def test_every_module_level_definition_is_used_in_src(trees):
+    found = unused(trees, [(m, d.name, d) for m, t in trees.items()
+                           for d in t.body if isinstance(d, DEFINITIONS)])
+    assert not found, f"defined in src/modem but used only outside it: {found}"
+
+
+def test_every_method_is_used_in_src(trees):
+    """A method counts as used when some attribute of its name is read, as
+    in `obj.method(...)`; a local variable of the same name does not count.
+    Dunder methods are called by the interpreter, not by name."""
+    found = unused(trees, [
+        (m, f"{c.name}.{d.name}", d) for m, t in trees.items()
+        for c in t.body if isinstance(c, ast.ClassDef)
+        for d in c.body if isinstance(d, DEFINITIONS)
+        and not (d.name.startswith("__") and d.name.endswith("__"))],
+        kinds=(ast.Attribute,))
+    assert not found, f"methods in src/modem used only outside it: {found}"

@@ -508,6 +508,20 @@ class TestScanGradients:
         assert np.array_equal(parents[5].grad, np.ones(d))
 
 
+def recurrence_operands(rng, d, L, N, layout):
+    """(a, want, got) for a recurrence over L states: `a` (d, L-1, N) and
+    two equal (d, L, N) state arrays, laid out "C", "token" major, or as
+    "reversed" views the way the backward pass runs them."""
+    a = rng.uniform(0.5, 1.0, size=(L, d, N)).transpose(1, 0, 2)
+    h0 = rng.normal(size=(L, d, N)).transpose(1, 0, 2)
+    if layout == "C":
+        a, h0 = np.ascontiguousarray(a), np.ascontiguousarray(h0)
+    want, got = h0.copy(order="K"), h0.copy(order="K")
+    if layout == "reversed":
+        return a[:, :0:-1], want[:, ::-1], got[:, ::-1]
+    return a[:, 1:], want, got
+
+
 T = 8
 RECURRENCE_CASES = [(d, N, L) for d, N in ((1, 1), (8, 4), (288, 8))
                     for L in (1, 2, T - 1, T, T + 1, 2 * T + 1, 3 * T + 5,
@@ -559,18 +573,21 @@ class TestChunkedKernel:
                                                         layout):
         T = ssm._chunk_len(d * N, L)
         assert T and (L - 1) // T >= 2
-        a = rng.uniform(0.5, 1.0, size=(L, d, N)).transpose(1, 0, 2)
-        h0 = rng.normal(size=(L, d, N)).transpose(1, 0, 2)
-        if layout == "C":
-            a, h0 = np.ascontiguousarray(a), np.ascontiguousarray(h0)
-        want, got = h0.copy(order="K"), h0.copy(order="K")
-        if layout == "reversed":      # as the backward pass runs it
-            a, want, got = a[:, :0:-1], want[:, ::-1], got[:, ::-1]
-        else:
-            a = a[:, 1:]
+        a, want, got = recurrence_operands(rng, d, L, N, layout)
         c_order_recurrence(a, want, T)
         ssm._linear_recurrence(a, got[:, 1:], T, got[:, 0])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("L", [1, 2, 255, 256, 257])
+    def test_plain_loop_bit_identical_to_reference(self, rng, L, layout):
+        # T = 0, the loop every paper-width scan takes, at d*N = 288; it
+        # returns h's last state, which a next block carries in
+        a, want, got = recurrence_operands(rng, 36, L, 8, layout)
+        c_order_recurrence(a, want, 0)
+        carry = ssm._linear_recurrence(a, got[:, 1:], 0, got[:, 0])
+        assert got.tobytes() == want.tobytes()
+        assert carry.tobytes() == want[:, -1].tobytes()
 
     @pytest.mark.parametrize("pieces", [[2], [3, 1], [1, 4, 2]])
     def test_recurrence_in_whole_chunks_bit_identical(self, rng, pieces):

@@ -1,6 +1,10 @@
 """Optimizer arithmetic, schedule shape, and the two training stages."""
 
+import json
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -10,7 +14,7 @@ import pytest
 from conftest import toy_run_config
 from modem import train
 from modem.config import RunConfig, config_from_dict
-from modem.model import RestorationModel, load_checkpoint
+from modem.model import DDEM, RestorationModel, load_checkpoint
 from modem.optim import CHUNK, AdamW, CosineRestartSchedule
 from modem.tensor import Tensor
 from modem.train import (TrainingDivergedError, build_model, train_stage1,
@@ -329,6 +333,119 @@ class TestSampleGraphRelease:
         assert len(refs) == 4 and len(checks) >= 6
 
 
+def run_script(script: str, *args: str):
+    """The last line of standard output, read as JSON, of `script` run in a
+    fresh interpreter that imports this checkout's modem and the tests'
+    conftest."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# minor page faults of each toy stage-1 step at patch 64, from the
+# optimizer's zero_grad to the end of its step
+STEP_FAULTS = """
+import json, resource, sys
+from conftest import toy_run_config
+from modem import optim, train
+from modem.config import config_from_dict
+
+faults, start = [], []
+zero_grad, step = optim.AdamW.zero_grad, optim.AdamW.step
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+def timed_zero_grad(self):
+    start.append(minflt())
+    zero_grad(self)
+
+def timed_step(self, **kwargs):
+    step(self, **kwargs)
+    faults.append(minflt() - start[-1])
+
+optim.AdamW.zero_grad, optim.AdamW.step = timed_zero_grad, timed_step
+train.train_stage1(config_from_dict(toy_run_config(
+    sys.argv[1], data={"patch": 64})))
+print(json.dumps(faults))
+"""
+
+# every mallopt call made through ctypes' handle on the process, after the
+# imports, after a restore, a decompose and a scan-compare, and after both
+# training stages
+MALLOPT_CALLS = """
+import ctypes, json, os, sys, types
+calls, handle = [], ctypes.CDLL
+
+def mallopt(param, value):
+    calls.append((param, value))
+    return 1
+
+def cdll(name, *args, **kwargs):
+    if name is None:
+        return types.SimpleNamespace(mallopt=mallopt)
+    return handle(name, *args, **kwargs)
+
+ctypes.CDLL = cdll
+
+import modem.cli, modem.train
+from conftest import toy_run_config
+from modem.config import config_from_dict
+from modem.fileio import write_ppm
+from modem.model import save_checkpoint
+import numpy as np
+
+out = sys.argv[1]
+seen = {"import": list(calls)}
+cfg = config_from_dict(toy_run_config(out, train={"iterations": 1,
+                                                  "periods": [1]}))
+model = modem.train.build_model(cfg, stage=2)
+ckpt = os.path.join(out, "drawn.ckpt")
+save_checkpoint(ckpt, {k: p.data for k, p in model.parameters().items()}, 2)
+cfg_path = os.path.join(out, "cfg.json")
+with open(cfg_path, "w") as f:
+    json.dump(toy_run_config(out), f)
+lq = os.path.join(out, "lq.ppm")
+write_ppm(lq, np.random.default_rng(0).random((3, 20, 24)))
+common = ["--checkpoint", ckpt, "--config", cfg_path, "--in", lq]
+assert modem.cli.main(["restore", *common, "--out", lq + ".out"]) == 0
+maps = os.path.join(out, "maps")
+assert modem.cli.main(["decompose", *common, "--outdir", maps]) == 0
+assert modem.cli.main(["scan-compare", "--height", "8", "--width", "8",
+                       "--repeats", "1"]) == 0
+seen["restore"] = list(calls)
+r1 = modem.train.train_stage1(cfg)
+modem.train.train_stage2(cfg, r1.checkpoint_path)
+seen["training"] = list(calls)
+print(json.dumps(seen))
+"""
+
+
+class TestKeepHeap:
+    """Training pins glibc's allocator thresholds once per process, so a
+    step reuses the pages the last sample freed; nothing else touches the
+    allocator."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are pinned only under glibc")
+    def test_steps_do_not_refault_the_heap(self, tmp_path):
+        faults = run_script(STEP_FAULTS, str(tmp_path))
+        assert len(faults) == 10
+        # without the pinning, each step faults ~12k pages back in
+        assert np.median(faults[1:]) < 200, faults
+
+    def test_mallopt_only_at_training_and_once(self, tmp_path):
+        seen = run_script(MALLOPT_CALLS, str(tmp_path))
+        assert seen["import"] == [] and seen["restore"] == []
+        assert seen["training"] == [
+            [train.M_MMAP_THRESHOLD, train.MMAP_THRESHOLD],
+            [train.M_TRIM_THRESHOLD, train.TRIM_THRESHOLD]]
+
+
 class TestStage2:
     def test_distillation_run(self, stage1_result, tmp_path):
         cfg1, r1 = stage1_result
@@ -401,6 +518,32 @@ class TestStage2:
         with pytest.raises(RuntimeError,
                            match=rf"teacher parameter {name} changed"):
             train_stage2(cfg, r1.checkpoint_path)
+
+    def test_teacher_runs_once_per_sample(self, stage1_result, tmp_path,
+                                          monkeypatch):
+        # 10 steps of 2 draws from 6 samples: the frozen teacher's forward
+        # runs once for each distinct sample drawn, never twice for one
+        _, r1 = stage1_result
+        drawn, taught = set(), []
+        orig_forward, orig_sample = DDEM.forward, train._sample_backward
+
+        def forward(self, x):
+            if x.shape[0] == 6:             # the teacher reads (lq, gt)
+                taught.append(hash(x.data.tobytes()))
+            return orig_forward(self, x)
+
+        def sample_backward(model, s, *args):
+            drawn.add(id(s))
+            return orig_sample(model, s, *args)
+
+        monkeypatch.setattr(DDEM, "forward", forward)
+        monkeypatch.setattr(train, "_sample_backward", sample_backward)
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "stage": 2}))
+        assert (cfg.data.n_train, cfg.train.iterations,
+                cfg.train.batch_size) == (6, 10, 2)
+        train_stage2(cfg, r1.checkpoint_path)
+        assert len(taught) == len(set(taught)) == len(drawn) > 1
 
     def test_rejects_wrong_stage_checkpoint(self, stage1_result, tmp_path):
         cfg1, r1 = stage1_result
