@@ -245,6 +245,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)               # argparse reports a ValueError itself
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="modem")
     sub = p.add_subparsers(dest="command", required=True)
@@ -259,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(fn=_cmd_scan_compare)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=_seed, default=0)
     gc.set_defaults(fn=_cmd_gradcheck)
 
     tr = sub.add_parser("train", help="run a training stage")

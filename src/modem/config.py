@@ -83,6 +83,10 @@ class RunConfig:
     ddem: DDEMOptions = dataclasses.field(default_factory=DDEMOptions)
     backbone: BackboneConfig = dataclasses.field(default_factory=BackboneConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} is negative")
+
 
 # fields whose values come from a fixed set
 _CHOICES = {"scan_kind": SCAN_KINDS, "kinds": DEGRADATION_KINDS}
@@ -142,9 +146,12 @@ def env_seed(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"MODEM_SEED: {raw!r} is not an integer") from None
+    if seed < 0:
+        raise ConfigError(f"MODEM_SEED: {seed} is negative")
+    return seed
 
 
 def load_config(path: str) -> RunConfig:

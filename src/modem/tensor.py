@@ -352,6 +352,10 @@ class Tensor:
             if a.ndim == 1 and b.ndim == 1:
                 return grad * bd, grad * ad
             if a.ndim == 1:  # (k,) @ (k, n) -> (n,)
+                # for a transposed C array (a 1-D Linear's x @ W.T) the same
+                # products in W's own order, so W's leaf copy is a straight one
+                if bd.flags.f_contiguous:
+                    return grad @ bd.T, np.outer(grad, ad).T
                 return grad @ bd.T, np.outer(ad, grad)
             if b.ndim == 1:  # (..., m, k) @ (k,) -> (..., m)
                 ga = grad[..., None] * bd

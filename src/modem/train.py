@@ -3,6 +3,7 @@ then distillation into a student that sees only the degraded image."""
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -170,9 +171,220 @@ def _keep_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+def _lanes(batch_size: int) -> int:
+    """How many samples of a batch run at once: one per CPU this process
+    may run on, up to the batch size, where the process can fork; else 1."""
+    if batch_size < 2 or not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:           # no affinity call on this platform
+        return 1
+    return min(batch_size, cpus)
+
+
+def _memory_available() -> int | None:
+    """Bytes this process may still take: /proc/meminfo's MemAvailable,
+    less where its cgroup's memory.max leaves less; None where the host's
+    figure cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            free = next(int(line.split()[1]) * 1024 for line in f
+                        if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration, ValueError):
+        return None
+    try:
+        with open("/sys/fs/cgroup/memory.max") as f, \
+                open("/sys/fs/cgroup/memory.current") as g:
+            limit, used = f.read().strip(), int(g.read())
+        if limit != "max":
+            free = min(free, int(limit) - used)
+    except (OSError, ValueError):
+        pass                         # no cgroup v2 limit to read
+    return max(0, free)
+
+
+def _lanes_in_memory(lanes: int, trained: list[Tensor]) -> int:
+    """`lanes`, or fewer where the memory available holds fewer workers.
+    Called after a step: a worker forked then grows by at most what this
+    process grew to (its peak RSS, which holds one sample's tape and a
+    full set of gradients), plus its shared gradient slot."""
+    import resource
+    free = _memory_available()
+    if free is None:
+        return 1
+    need = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+            + sum(p.data.nbytes for p in trained))
+    return 1 + min(lanes - 1, free // need)
+
+
+def _arena(shapes: list[tuple]) -> list[np.ndarray]:
+    """Zeroed C-contiguous float64 arrays of `shapes`, each 64-byte aligned,
+    in one anonymous shared mapping: a forked child and its parent see each
+    other's writes to them instead of copies."""
+    import mmap  # here and below: only a batch run in lanes needs them
+    sizes = [int(np.prod(s)) for s in shapes]
+    offsets = np.cumsum([0] + [-(-8 * n // 64) * 64 for n in sizes])
+    buf = mmap.mmap(-1, max(1, int(offsets[-1])))
+    return [np.frombuffer(buf, np.float64, n, int(o)).reshape(s)
+            for s, n, o in zip(shapes, sizes, offsets)]
+
+
+class _Worker:
+    """The parent's handle on one forked training worker: it sends the
+    worker a sample index and folds the worker's gradients, which arrive in
+    `slot` (one array per trained parameter), into the parameters'."""
+
+    def __init__(self, conn, pid: int, lane: int, slot: list[np.ndarray]):
+        self.conn, self.pid, self.lane, self.slot = conn, pid, lane, slot
+
+    def _died(self) -> RuntimeError:
+        return RuntimeError(f"training worker {self.pid} (lane {self.lane}) "
+                            "ended before returning its sample")
+
+    def send(self, i: int, t_z: np.ndarray | None) -> None:
+        try:
+            self.conn.send((i, t_z))
+        except OSError as exc:
+            raise self._died() from exc
+
+    def add_gradients(self, trained: list[Tensor]) -> tuple[float, float, float]:
+        """Wait for the sample sent last, add its gradients to `trained`'s
+        as Tensor.backward would have, and return its (l1, cor, kl)."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died() from exc
+        if isinstance(reply, Exception):
+            raise reply from RuntimeError(
+                f"raised in training worker {self.pid} (lane {self.lane})")
+        losses, missing = reply
+        for n, (p, g) in enumerate(zip(trained, self.slot)):
+            if n in missing:
+                continue
+            if p.grad is None:       # g is the worker's first write, g + 0.0
+                p.grad = g.copy()
+            else:
+                p.grad += g
+        return losses
+
+    def stop(self) -> None:
+        import signal
+        self.conn.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _serve(conn, model: RestorationModel, trained: list[Tensor],
+           slot: list[np.ndarray], stage: int, train_set: list[SynthSample],
+           scale: float) -> None:
+    """A worker's loop: backpropagate each sample index it is sent into
+    fresh gradients of the trained parameters, copy them into `slot` and
+    reply with the losses and the positions of the parameters that got
+    none; an exception is replied instead. Returns at EOF, once the parent
+    has closed its end or died."""
+    while True:
+        try:
+            i, t_z = conn.recv()
+        except EOFError:
+            return
+        for p in trained:
+            p.grad = None
+        try:
+            losses = _sample_backward(model, train_set[i], stage, scale, t_z)
+        except Exception as exc:
+            conn.send(exc)
+            continue
+        missing = set()
+        for n, (p, g) in enumerate(zip(trained, slot)):
+            if p.grad is None:
+                missing.add(n)
+            else:
+                np.copyto(g, p.grad)
+        conn.send((losses, missing))
+
+
+@functools.cache
+def _openblas():
+    """numpy's OpenBLAS thread-count calls (get, set), found among the
+    libraries mapped into this process, or None where there is none."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the names of a plain, a scipy-openblas64 and a scipy-openblas32 build
+        for prefix, suffix in (("", ""), ("scipy_", "64_"), ("scipy_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _forked(model: RestorationModel, trained: list[Tensor], stage: int,
+            train_set: list[SynthSample], scale: float, lanes: int):
+    """Move the trained parameters into one shared mapping, so that AdamW's
+    in-place step is what every worker reads next; give each of the `lanes`
+    lanes an equal share (at least one) of OpenBLAS's threads, so that the
+    lanes do not oversubscribe the CPUs its pool was sized for; and fork
+    `lanes - 1` workers. Yields the workers. On every way out they are
+    killed and reaped, and the thread count is restored."""
+    import signal
+    from multiprocessing.connection import Pipe
+    workers: list[_Worker] = []
+    blas = _openblas()
+    threads = blas[0]() if blas else 0
+    try:
+        if blas:
+            blas[1](max(1, threads // lanes))
+        for p, a in zip(trained, _arena([p.data.shape for p in trained])):
+            a[...] = p.data
+            p.data = a
+        for lane in range(1, lanes):
+            slot = _arena([p.data.shape for p in trained])
+            ours, theirs = Pipe()
+            pid = os.fork()
+            if pid == 0:             # the worker never returns to the caller
+                code = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    ours.close()
+                    for w in workers:
+                        w.conn.close()
+                    _serve(theirs, model, trained, slot, stage, train_set, scale)
+                    code = 0
+                finally:
+                    os._exit(code)
+            theirs.close()
+            workers.append(_Worker(ours, pid, lane, slot))
+        yield workers
+    finally:
+        for w in workers:
+            w.stop()
+        if blas:
+            blas[1](threads)
+
+
 def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
               teacher: DDEM | None, train_set: list[SynthSample],
               heldout: list[SynthSample], tag: str) -> TrainResult:
+    """Train `model` for cfg.train.iterations AdamW steps. From step 1 on,
+    a batch runs in `_lanes` lanes, as many as `_lanes_in_memory` finds
+    room for after step 0: the calling process and, with two or more,
+    forked workers, each backpropagating one of every round of `lanes`
+    consecutive samples. The workers' gradients are added round by round in
+    sample order, so every sum, loss row and checkpoint keeps the bytes of
+    one lane."""
     tc = cfg.train
     params = model.parameters()
     if stage == 2 and tc.freeze_backbone:
@@ -181,44 +393,65 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
                 weight_decay=tc.weight_decay)
     sched = CosineRestartSchedule(tc.base_lr, list(tc.periods),
                                   list(tc.restart_weights), list(tc.eta_mins))
+    trained = list(params.values())
+    scale = 1.0 / tc.batch_size
+    wanted = _lanes(tc.batch_size)
     batch_rng = np.random.default_rng(cfg.seed + 777)
     _keep_heap()
     # the frozen teacher's z_tilde per sample index: the same no-grad
-    # forward of the same input gives the same bytes, so it runs once
+    # forward of the same input gives the same bytes, so it runs once, here
     teacher_z: dict[int, np.ndarray] = {}
+
+    def taught(i: int) -> np.ndarray | None:
+        if teacher is not None and i not in teacher_z:
+            with no_grad():
+                teacher_z[i] = teacher(_ddem_input(train_set[i], 1)).z_tilde.data
+        return teacher_z.get(i)
 
     rows = [CSV_HEADER]
     totals: list[float] = []
-    for step in range(tc.iterations):
-        lr = sched.lr(step)
-        opt.zero_grad()
-        idx = batch_rng.integers(0, len(train_set), size=tc.batch_size)
-        l1_acc = cor_acc = kl_acc = 0.0
-        for i in map(int, idx):
-            sample = train_set[i]
-            if teacher is not None and i not in teacher_z:
-                with no_grad():
-                    teacher_z[i] = teacher(_ddem_input(sample, 1)).z_tilde.data
-            l1, cor, kl = _sample_backward(
-                model, sample, stage, 1.0 / tc.batch_size, teacher_z.get(i))
-            l1_acc += l1
-            cor_acc += cor
-            kl_acc += kl
-        l1_m = l1_acc / tc.batch_size
-        cor_m = cor_acc / tc.batch_size
-        kl_m = kl_acc / tc.batch_size
-        total = l1_m + cor_m + (kl_m if stage == 2 else 0.0)
-        if not np.isfinite(total):
-            raise TrainingDivergedError(
-                f"non-finite loss at step {step}: l1={l1_m} cor={cor_m} kl={kl_m}"
-            )
-        totals.append(total)
-        if step % tc.log_every == 0 or step == tc.iterations - 1:
-            kl_field = _fmt(kl_m) if stage == 2 else ""
-            rows.append(f"{step},{_fmt(l1_m)},{_fmt(cor_m)},{kl_field},"
-                        f"{_fmt(total)},{_fmt(lr)}")
-        _check_gradients(params, step)
-        opt.step(lr=lr)
+    with contextlib.ExitStack() as stack:
+        workers: list[_Worker] = []
+        lanes = 1
+        for step in range(tc.iterations):
+            if step == 1 and wanted > 1:
+                # step 0 ran in this process alone, so what it grew to
+                # bounds what each worker forked from it will need
+                lanes = _lanes_in_memory(wanted, trained)
+                if lanes > 1:
+                    workers = stack.enter_context(_forked(
+                        model, trained, stage, train_set, scale, lanes))
+            lr = sched.lr(step)
+            opt.zero_grad()
+            idx = list(map(int, batch_rng.integers(0, len(train_set),
+                                                   size=tc.batch_size)))
+            l1_acc = cor_acc = kl_acc = 0.0
+            for r in range(0, len(idx), lanes):
+                first, *rest = idx[r:r + lanes]
+                for w, i in zip(workers, rest):
+                    w.send(i, taught(i))
+                losses = [_sample_backward(model, train_set[first], stage,
+                                           scale, taught(first))]
+                losses += [w.add_gradients(trained) for w in workers[:len(rest)]]
+                for l1, cor, kl in losses:
+                    l1_acc += l1
+                    cor_acc += cor
+                    kl_acc += kl
+            l1_m = l1_acc / tc.batch_size
+            cor_m = cor_acc / tc.batch_size
+            kl_m = kl_acc / tc.batch_size
+            total = l1_m + cor_m + (kl_m if stage == 2 else 0.0)
+            if not np.isfinite(total):
+                raise TrainingDivergedError(
+                    f"non-finite loss at step {step}: l1={l1_m} cor={cor_m} kl={kl_m}"
+                )
+            totals.append(total)
+            if step % tc.log_every == 0 or step == tc.iterations - 1:
+                kl_field = _fmt(kl_m) if stage == 2 else ""
+                rows.append(f"{step},{_fmt(l1_m)},{_fmt(cor_m)},{kl_field},"
+                            f"{_fmt(total)},{_fmt(lr)}")
+            _check_gradients(params, step)
+            opt.step(lr=lr)
 
     # the gradients and moments are dead weight from here on; the
     # checkpoint is written from the live weights, not from copies

@@ -156,6 +156,21 @@ class TestTrain:
             assert main(argv) == 2
             assert "MODEM_SEED" in capsys.readouterr().err
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("MODEM_SEED", raising=False)
+        payload = toy_run_config(str(tmp_path / "run"), seed=-3)
+        assert main(["train", "--stage", "1",
+                     "--config", write_cfg(tmp_path, payload)]) == 2
+        assert "seed: -3 is negative" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "run"))
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.setenv("MODEM_SEED", "-2")
+        assert main(["gradcheck"]) == 2
+        assert "MODEM_SEED: -2 is negative" in capsys.readouterr().err
+
     def test_stage2_requires_from(self, tmp_path):
         payload = toy_run_config(str(tmp_path / "run"))
         assert main(["train", "--stage", "2",

@@ -154,3 +154,17 @@ class TestSeedOverride:
         monkeypatch.setenv("MODEM_SEED", "abc")
         with pytest.raises(ConfigError, match="MODEM_SEED"):
             load_config(path)
+
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch):
+        # numpy's generator takes no negative seed: it is a usage error
+        # that names the key, not a ValueError from deep in a run
+        monkeypatch.delenv("MODEM_SEED", raising=False)
+        with pytest.raises(ConfigError, match="seed: -3 is negative"):
+            load_config(write_cfg(tmp_path, toy_run_config("out", seed=-3)))
+        with pytest.raises(ConfigError, match="seed: -1 is negative"):
+            config_from_dict({"seed": -1})
+        monkeypatch.setenv("MODEM_SEED", "-2")
+        with pytest.raises(ConfigError, match="MODEM_SEED: -2 is negative"):
+            load_config(write_cfg(tmp_path, toy_run_config("out")))
+        monkeypatch.setenv("MODEM_SEED", "0")
+        assert load_config(write_cfg(tmp_path, toy_run_config("out"))).seed == 0

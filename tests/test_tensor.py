@@ -281,6 +281,25 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_vector_weight_gradient_in_weight_order(self, rng, order):
+        # x @ W.T of a 1-D Linear: W's gradient has the bytes of the plain
+        # outer product, and the rule hands the transpose node an array
+        # that is C-ordered once transposed back to W's shape
+        x, r = rng.normal(size=7), rng.normal(size=5)
+        r[::2] = -0.0
+        w = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
+        b = w.T if order == "F" else Tensor(np.ascontiguousarray(w.data.T),
+                                            requires_grad=True)
+        out = Tensor(x) @ b
+        _, gb = out._backward(r)
+        assert (gb.T if order == "F" else gb).flags.c_contiguous
+        (out * Tensor(r)).sum().backward()
+        leaf = w if order == "F" else b
+        ref = np.outer(x, r)                 # the rule this one replaced
+        ref = ref.T if order == "F" else ref
+        assert leaf.grad.tobytes() == (np.zeros(ref.shape) + ref).tobytes()
+
 
 class TestGraph:
     def test_diamond_reuse_accumulates(self):

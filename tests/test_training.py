@@ -1,8 +1,10 @@
 """Optimizer arithmetic, schedule shape, and the two training stages."""
 
+import hashlib
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -248,6 +250,7 @@ class TestGradientGuard:
 
         monkeypatch.setattr(train, "AdamW", RecordingAdamW)
         monkeypatch.setattr(Tensor, "backward", backward)
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: 1)
         train_set, heldout = train._datasets(cfg)
         with pytest.raises(TrainingDivergedError,
                            match=rf"{target} at step 1"):
@@ -315,6 +318,7 @@ class TestSampleGraphRelease:
 
         monkeypatch.setattr(RestorationModel, "forward", forward)
         monkeypatch.setattr(AdamW, "step", step)
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: 1)
         return refs, checks
 
     def test_stage1(self, tmp_path, monkeypatch):
@@ -446,6 +450,279 @@ class TestKeepHeap:
             [train.M_TRIM_THRESHOLD, train.TRIM_THRESHOLD]]
 
 
+# the restore-paper set-up training of the benchmark, written out: seed 1,
+# paper widths, two 16x16 training patches of haze and streaks, batch 1
+PAPER_SETUP = """
+import hashlib, json, os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"   # the bytes depend on it
+from modem import train
+from modem.config import config_from_dict
+
+def payload(stage, steps, out):
+    return {"seed": 1, "output_dir": out,
+            "data": {"n_train": 2, "n_heldout": 1, "patch": 16,
+                     "kinds": ["haze", "streaks"], "severity": [0.4, 0.7]},
+            "train": {"stage": stage, "iterations": steps, "batch_size": 1,
+                      "base_lr": 1e-3, "periods": [steps],
+                      "restart_weights": [1.0], "eta_mins": [1e-4]}}
+
+out = sys.argv[1]
+r1 = train.train_stage1(config_from_dict(payload(1, 6, os.path.join(out, "s1"))))
+r2 = train.train_stage2(config_from_dict(payload(2, 4, os.path.join(out, "s2"))),
+                        r1.checkpoint_path)
+print(json.dumps({name: hashlib.sha256(open(r.checkpoint_path, "rb").read())
+                  .hexdigest() for name, r in (("stage1", r1), ("stage2", r2))}))
+"""
+
+
+def test_paper_setup_golden_bytes(tmp_path):
+    """Paper-width training keeps its bytes at one BLAS thread; a change
+    that moves them must say why and re-pin both digests."""
+    assert run_script(PAPER_SETUP, str(tmp_path)) == {
+        "stage1": "8b2f7981e3b5315a0f9c7aaffc717530"
+                  "507b78a4cc79b8882b3f93a83cf442d5",
+        "stage2": "6a27683fa85d932dc4421f3c9a7d6d99"
+                  "c33bda3431c79ccaecfed9b79fd8c11a"}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_worker(parent_pid: int) -> bool:
+    return os.getpid() != parent_pid
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="lanes fork workers")
+class TestLanes:
+    """A batch's samples run in forked lanes with the bytes of one lane,
+    and every worker is reaped on every path. Memory is taken as ample
+    unless a test says otherwise, so the lane count is the one pinned."""
+
+    @pytest.fixture(autouse=True)
+    def ample_memory(self, monkeypatch):
+        monkeypatch.setattr(train, "_memory_available", lambda: 1 << 50)
+
+    @staticmethod
+    def count_forks(monkeypatch) -> list[int]:
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def train_both(self, out, monkeypatch, lanes, batch):
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: lanes)
+        forks = self.count_forks(monkeypatch)
+        cfg1 = config_from_dict(toy_run_config(str(out), train={
+            "batch_size": batch}))
+        r1 = train_stage1(cfg1)
+        cfg2 = config_from_dict(toy_run_config(str(out), train={
+            "stage": 2, "batch_size": batch}))
+        train_stage2(cfg2, r1.checkpoint_path)
+        assert_no_child_left()
+        assert len(forks) == 2 * (lanes - 1)    # per stage, lanes - 1
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("stage1.ckpt", "loss_stage1.csv",
+                             "stage2.ckpt", "loss_stage2.csv")}
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_same_bytes_as_one_lane(self, tmp_path, monkeypatch, batch):
+        # batch 3 in 2 lanes ends on a round of one sample; in 3 lanes it
+        # runs more processes than this host may have CPUs
+        one = self.train_both(tmp_path / "one", monkeypatch, 1, batch)
+        for lanes in range(2, batch + 1):
+            got = self.train_both(tmp_path / f"lanes{lanes}", monkeypatch,
+                                  lanes, batch)
+            assert got == one, lanes
+
+    def lane_run(self, tmp_path, monkeypatch, sample_backward):
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: 2)
+        monkeypatch.setattr(train, "_sample_backward", sample_backward)
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "iterations": 3, "periods": [3]}))
+        return train_stage1(cfg)
+
+    def test_worker_exception_reaches_parent(self, tmp_path, monkeypatch):
+        parent, orig = os.getpid(), train._sample_backward
+
+        def sample_backward(*args):
+            if in_worker(parent):
+                raise ZeroDivisionError("boom in a worker")
+            return orig(*args)
+
+        with pytest.raises(ZeroDivisionError, match="boom in a worker") as exc:
+            self.lane_run(tmp_path, monkeypatch, sample_backward)
+        assert "training worker" in str(exc.value.__cause__)
+        assert_no_child_left()
+
+    def test_interrupt_reaps_workers(self, tmp_path, monkeypatch):
+        parent, orig = os.getpid(), train._sample_backward
+        calls, forks = [], self.count_forks(monkeypatch)
+
+        def sample_backward(*args):
+            if not in_worker(parent):
+                calls.append(None)
+                if len(calls) == 3:          # step 1's, its worker running
+                    raise KeyboardInterrupt
+            return orig(*args)
+
+        with pytest.raises(KeyboardInterrupt):
+            self.lane_run(tmp_path, monkeypatch, sample_backward)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_killed_worker_named(self, tmp_path, monkeypatch):
+        parent, orig = os.getpid(), train._sample_backward
+        calls = []
+
+        def sample_backward(*args):
+            if in_worker(parent):
+                calls.append(None)           # the worker's own list
+                if len(calls) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return orig(*args)
+
+        with pytest.raises(RuntimeError,
+                           match=r"training worker \d+ \(lane 1\) ended"):
+            self.lane_run(tmp_path, monkeypatch, sample_backward)
+        assert_no_child_left()
+
+    def test_nan_in_worker_sample_stops_before_any_write(self, tmp_path,
+                                                         monkeypatch):
+        """A NaN in the gradient of the sample a worker runs at step 1
+        raises at step 1, with every weight and moment as step 0 left it."""
+        parent, orig = os.getpid(), train._sample_backward
+        target = "backbone.out_conv.weight"
+        calls, opts, snaps = [], [], []
+
+        def sample_backward(model, *args):
+            losses = orig(model, *args)
+            if in_worker(parent):
+                calls.append(None)
+                if len(calls) == 1:          # the worker's sample of step 1
+                    model.parameters()[target].grad.reshape(-1)[5] = np.nan
+            return losses
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+            def zero_grad(self):
+                snaps.append(({k: p.data.copy() for k, p in self.params.items()},
+                              {k: a.copy() for k, a in self.m.items()},
+                              {k: a.copy() for k, a in self.v.items()}))
+                super().zero_grad()
+
+        monkeypatch.setattr(train, "AdamW", RecordingAdamW)
+        with pytest.raises(TrainingDivergedError,
+                           match=rf"{target} at step 1"):
+            self.lane_run(tmp_path, monkeypatch, sample_backward)
+        assert_no_child_left()
+        (opt,), (p0, m0, v0) = opts, snaps[-1]
+        assert opt.t == 1 and len(snaps) == 2
+        for k, p in opt.params.items():
+            assert p.data.tobytes() == p0[k].tobytes()
+            assert opt.m[k].tobytes() == m0[k].tobytes()
+            assert opt.v[k].tobytes() == v0[k].tobytes()
+        assert not os.path.exists(tmp_path / "stage1.ckpt")
+
+    def test_teacher_runs_once_per_sample_in_parent(self, stage1_result,
+                                                    tmp_path, monkeypatch):
+        _, r1 = stage1_result
+        parent, taught = os.getpid(), []
+        orig_forward = DDEM.forward
+
+        def forward(self, x):
+            if x.shape[0] == 6:             # the teacher reads (lq, gt)
+                if in_worker(parent):
+                    raise AssertionError("the teacher ran in a worker")
+                taught.append(hash(x.data.tobytes()))
+            return orig_forward(self, x)
+
+        monkeypatch.setattr(DDEM, "forward", forward)
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: 2)
+        cfg = config_from_dict(toy_run_config(str(tmp_path), train={
+            "stage": 2}))
+        train_stage2(cfg, r1.checkpoint_path)
+        assert_no_child_left()
+        rng = np.random.default_rng(cfg.seed + 777)
+        drawn = {int(i) for _ in range(cfg.train.iterations)
+                 for i in rng.integers(0, cfg.data.n_train,
+                                       size=cfg.train.batch_size)}
+        assert len(taught) == len(set(taught)) == len(drawn) > 1
+
+    def test_blas_threads_shared_then_restored(self, tmp_path, monkeypatch):
+        # two lanes of a four-thread pool run two threads each
+        if train._openblas() is None:
+            pytest.skip("no OpenBLAS found in this process")
+        get, put = train._openblas()
+        parent, orig, seen = os.getpid(), train._sample_backward, []
+
+        def sample_backward(*args):
+            if not in_worker(parent):
+                seen.append(get())
+            return orig(*args)
+
+        before = get()
+        put(4)
+        try:
+            self.lane_run(tmp_path, monkeypatch, sample_backward)
+            # step 0 runs alone with the whole pool, steps 1 and 2 in lanes
+            assert seen == [4, 4, 2, 2] and get() == 4
+        finally:
+            put(before)
+        assert_no_child_left()
+
+    def test_lanes_fit_memory(self, monkeypatch):
+        # a worker needs the training process's peak RSS plus its slot
+        import resource
+
+        class Usage:
+            ru_maxrss = 1000                 # KiB
+        monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
+        trained = [Tensor(np.zeros(3))]
+        need = 1000 * 1024 + 24
+        for free, wanted, lanes in [(2 * need, 3, 3), (2 * need - 1, 3, 2),
+                                    (need, 2, 2), (need - 1, 2, 1),
+                                    (0, 4, 1), (None, 2, 1)]:
+            monkeypatch.setattr(train, "_memory_available", lambda: free)
+            assert train._lanes_in_memory(wanted, trained) == lanes, free
+
+    def test_no_room_runs_one_lane(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(train, "_memory_available", lambda: 0)
+        forks = self.count_forks(monkeypatch)
+        self.lane_run(tmp_path, monkeypatch, train._sample_backward)
+        assert forks == []
+        assert_no_child_left()
+
+    def test_memory_available_read(self, monkeypatch):
+        monkeypatch.undo()                   # the real reading
+        if not os.path.exists("/proc/meminfo"):
+            assert train._memory_available() is None
+            return
+        with open("/proc/meminfo") as f:
+            total = next(int(line.split()[1]) * 1024 for line in f
+                         if line.startswith("MemTotal:"))
+        assert 0 < train._memory_available() <= total
+
+    def test_lane_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert [train._lanes(b) for b in (1, 2, 3, 8)] == [1, 2, 3, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert train._lanes(4) == 1
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert train._lanes(4) == 1
+
+
 class TestStage2:
     def test_distillation_run(self, stage1_result, tmp_path):
         cfg1, r1 = stage1_result
@@ -538,6 +815,7 @@ class TestStage2:
 
         monkeypatch.setattr(DDEM, "forward", forward)
         monkeypatch.setattr(train, "_sample_backward", sample_backward)
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: 1)
         cfg = config_from_dict(toy_run_config(str(tmp_path), train={
             "stage": 2}))
         assert (cfg.data.n_train, cfg.train.iterations,
