@@ -108,7 +108,7 @@ def _cmd_train(args) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUN_FAILURE
-    except (CheckpointFormatError, OSError, ValueError) as exc:
+    except (CheckpointFormatError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"checkpoint: {result.checkpoint_path}")
@@ -300,7 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MemoryError as exc:      # sizes from the config or the input
+        print(f"error: out of memory: {exc}" if str(exc) else
+              "error: out of memory", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

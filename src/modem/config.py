@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .data import DEGRADATION_KINDS
 from .metrics import SSIM_WINDOW
-from .model import BackboneConfig
+from .model import BackboneConfig, DDEMConfig
 from .scan_orders import SCAN_KINDS
 
 
@@ -38,16 +38,6 @@ class DataConfig:
         if self.patch < SSIM_WINDOW:
             raise ConfigError(f"data.patch: {self.patch} is below {SSIM_WINDOW}, "
                               "the SSIM window held-out patches are scored with")
-
-
-@dataclass(frozen=True)
-class DDEMOptions:
-    channels: int = 96
-    num_groups: int = 2
-    mdsl_per_group: int = 2
-    d_state: int = 8
-    dt_rank: int = 0
-    scan_kind: str = "morton"
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ class RunConfig:
     output_dir: str = "runs/out"
     data: DataConfig = dataclasses.field(default_factory=DataConfig)
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
-    ddem: DDEMOptions = dataclasses.field(default_factory=DDEMOptions)
+    ddem: DDEMConfig = dataclasses.field(default_factory=DDEMConfig)
     backbone: BackboneConfig = dataclasses.field(default_factory=BackboneConfig)
 
     def __post_init__(self):

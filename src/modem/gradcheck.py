@@ -13,7 +13,7 @@ import numpy as np
 from .blocks import (CAB, DSAM, MDSL, MOS2D, DAFMAdapter, DegradationPriors,
                      LevelConditioning, MOS2DConfig, S6ParamHead, dafm_apply)
 from .losses import correlation_loss, kl_loss, l1_loss
-from .model import DDEM, DDEMConfig
+from .model import DDEM, BackboneConfig, DDEMConfig
 from .tensor import Tensor
 
 FD_TOLERANCE = 1e-4
@@ -120,10 +120,12 @@ def _toy_conditioning(rng, cfg):
     return adapter, dsam, priors
 
 
-def check_mos2d(seed: int = 0) -> float:
+def _check_conditioned(block_cls, max_entries: int, seed: int) -> float:
+    """FD check of a conditioned block (MOS2D or MDSL) with its adapter,
+    shared attention module and priors."""
     rng = np.random.default_rng(seed)
     cfg = _toy_cfg(conditioned=True)
-    block = MOS2D(cfg, rng)
+    block = block_cls(cfg, rng)
     adapter, dsam, priors = _toy_conditioning(rng, cfg)
     feat = Tensor(rng.normal(size=(cfg.channels, 4, 4)), requires_grad=True)
     tensors = dict(block.parameters(), feat=feat, z0=priors.z0, z1=priors.z1,
@@ -133,23 +135,15 @@ def check_mos2d(seed: int = 0) -> float:
         cond = LevelConditioning.from_priors(adapter, dsam, priors)
         return (block(feat, cond) ** 2).mean()
 
-    return fd_check(fn, tensors, max_entries=3, seed=seed)
+    return fd_check(fn, tensors, max_entries=max_entries, seed=seed)
+
+
+def check_mos2d(seed: int = 0) -> float:
+    return _check_conditioned(MOS2D, 3, seed)
 
 
 def check_mdsl(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = _toy_cfg(conditioned=True)
-    layer = MDSL(cfg, rng)
-    adapter, dsam, priors = _toy_conditioning(rng, cfg)
-    feat = Tensor(rng.normal(size=(cfg.channels, 4, 4)), requires_grad=True)
-    tensors = dict(layer.parameters(), feat=feat, z0=priors.z0, z1=priors.z1,
-                   **adapter.parameters("adapter"), **dsam.parameters("dsam"))
-
-    def fn():
-        cond = LevelConditioning.from_priors(adapter, dsam, priors)
-        return (layer(feat, cond) ** 2).mean()
-
-    return fd_check(fn, tensors, max_entries=2, seed=seed)
+    return _check_conditioned(MDSL, 2, seed)
 
 
 def check_cab(seed: int = 0) -> float:
@@ -166,9 +160,10 @@ def check_cab(seed: int = 0) -> float:
 
 def check_ddem(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
-    cfg = DDEMConfig(in_channels=6, channels=4, num_groups=1, mdsl_per_group=1,
-                     c_d=5, c_d1=3, c_d2=4, d_state=3, dt_rank=2)
-    ddem = DDEM(cfg, rng)
+    cfg = DDEMConfig(channels=4, num_groups=1, mdsl_per_group=1, d_state=3,
+                     dt_rank=2)
+    bb = BackboneConfig(c_d=_TOY_C_D, c_d1=_TOY_C_D1, c_d2=_TOY_C_D2)
+    ddem = DDEM(cfg, bb, 1, rng)
     image = Tensor(rng.normal(size=(6, 4, 4)), requires_grad=True)
     tensors = dict(ddem.parameters(), image=image)
 

@@ -20,13 +20,9 @@ from .tensor import ContractError, Tensor
 
 @dataclass(frozen=True)
 class DDEMConfig:
-    in_channels: int = 6          # 6 with ground truth attached, else 3
     channels: int = 96
     num_groups: int = 2
     mdsl_per_group: int = 2
-    c_d: int = 96
-    c_d1: int = 48
-    c_d2: int = 48
     d_state: int = 8
     dt_rank: int = 0
     scan_kind: str = "morton"
@@ -55,31 +51,34 @@ class BackboneConfig:
 
 
 class DDEM(Module):
-    """Estimates degradation priors from an image (optionally paired with
-    its ground truth along the channel axis)."""
+    """Estimates degradation priors from an image: in stage 1 paired with
+    its ground truth along the channel axis (6 channels), in stage 2 alone
+    (3). The prior widths c_d, c_d1 and c_d2 are the backbone's, so the two
+    halves agree."""
 
-    def __init__(self, cfg: DDEMConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, cfg: DDEMConfig, bb: BackboneConfig, stage: int,
+                 rng: np.random.Generator | None):
         ch = cfg.channels
         block_cfg = MOS2DConfig(
             channels=ch, d_state=cfg.d_state, dt_rank=cfg.dt_rank,
             scan_kind=cfg.scan_kind, conditioned=False,
         )
-        self.stem = Conv2d(cfg.in_channels, ch, 3, rng)
+        self.stem = Conv2d(6 if stage == 1 else 3, ch, 3, rng)
         self.groups = [
             [MDSL(block_cfg, rng) for _ in range(cfg.mdsl_per_group)]
             for _ in range(cfg.num_groups)
         ]
-        self.mlp1 = Linear(ch, 4 * cfg.c_d, rng)
-        self.mlp2 = Linear(4 * cfg.c_d, 4 * cfg.c_d, rng)
-        self.z0_proj = Linear(4 * cfg.c_d, cfg.c_d, rng)
-        self.kernel_proj1 = Conv2d(ch, cfg.c_d1, 1, rng)
-        self.kernel_proj2 = Conv2d(ch, cfg.c_d2, 1, rng)
+        self.mlp1 = Linear(ch, 4 * bb.c_d, rng)
+        self.mlp2 = Linear(4 * bb.c_d, 4 * bb.c_d, rng)
+        self.z0_proj = Linear(4 * bb.c_d, bb.c_d, rng)
+        self.kernel_proj1 = Conv2d(ch, bb.c_d1, 1, rng)
+        self.kernel_proj2 = Conv2d(ch, bb.c_d2, 1, rng)
 
     def forward(self, image: Tensor) -> DegradationPriors:
-        if image.shape[0] != self.cfg.in_channels:
+        in_channels = self.stem.weight.shape[1]
+        if image.shape[0] != in_channels:
             raise ContractError(
-                f"expected {self.cfg.in_channels} input channels, got {image.shape[0]}"
+                f"expected {in_channels} input channels, got {image.shape[0]}"
             )
         feat = self.stem(image)
         for group in self.groups:
@@ -90,8 +89,8 @@ class DDEM(Module):
         z_tilde = self.mlp2(self.mlp1(ops.global_avg_pool(feat)).silu())
         z0 = self.z0_proj(z_tilde).silu()
         _, H, W = feat.shape
-        p1 = self.kernel_proj1(feat).reshape(self.cfg.c_d1, H * W)
-        p2 = self.kernel_proj2(feat).reshape(self.cfg.c_d2, H * W)
+        p1 = self.kernel_proj1(feat).reshape(-1, H * W)   # (c_d1, H*W)
+        p2 = self.kernel_proj2(feat).reshape(-1, H * W)   # (c_d2, H*W)
         z1 = (p1 @ p2.T) * (1.0 / (H * W))
         return DegradationPriors(z_tilde=z_tilde, z0=z0, z1=z1)
 
@@ -196,14 +195,12 @@ class RestorationModel(Module):
     """DDEM + backbone pair trained together."""
 
     def __init__(self, ddem_cfg: DDEMConfig, backbone_cfg: BackboneConfig,
-                 seed: int | None = 0):
+                 stage: int, seed: int | None = 0):
         # seed None draws no random numbers: the weights start at zero, for
         # a model whose weights are loaded next or only counted
         rng = None if seed is None else np.random.default_rng(seed)
-        self.ddem = DDEM(ddem_cfg, rng)
+        self.ddem = DDEM(ddem_cfg, backbone_cfg, stage, rng)
         self.backbone = Backbone(backbone_cfg, rng)
-        self.ddem_cfg = ddem_cfg
-        self.backbone_cfg = backbone_cfg
 
     def forward(self, lq: Tensor, ddem_input: Tensor) -> tuple[Tensor, DegradationPriors]:
         priors = self.ddem(ddem_input)

@@ -16,8 +16,7 @@ from .config import RunConfig
 from .data import SynthSample, make_dataset
 from .fileio import atomic_write_text
 from .losses import correlation_loss, kl_loss, l1_loss
-from .model import (DDEM, DDEMConfig, RestorationModel, load_checkpoint,
-                    save_checkpoint)
+from .model import DDEM, RestorationModel, load_checkpoint, save_checkpoint
 from .optim import AdamW, CosineRestartSchedule
 from .tensor import Tensor, no_grad
 
@@ -41,18 +40,6 @@ class TrainResult:
     ssim_restored: float
 
 
-def _ddem_config(cfg: RunConfig, in_channels: int) -> DDEMConfig:
-    # prior widths come from the backbone so the two halves agree
-    bb = cfg.backbone
-    return DDEMConfig(
-        in_channels=in_channels, channels=cfg.ddem.channels,
-        num_groups=cfg.ddem.num_groups, mdsl_per_group=cfg.ddem.mdsl_per_group,
-        c_d=bb.c_d, c_d1=bb.c_d1, c_d2=bb.c_d2,
-        d_state=cfg.ddem.d_state, dt_rank=cfg.ddem.dt_rank,
-        scan_kind=cfg.ddem.scan_kind,
-    )
-
-
 def build_model(cfg: RunConfig, stage: int,
                 state: dict[str, np.ndarray] | None = None,
                 draw: bool = True) -> RestorationModel:
@@ -61,9 +48,8 @@ def build_model(cfg: RunConfig, stage: int,
     number is drawn. Otherwise they are drawn from default_rng(cfg.seed),
     or, with draw=False, left at zero for a model that is only counted or
     filled by the caller."""
-    in_ch = 6 if stage == 1 else 3
     seed = cfg.seed if draw and state is None else None
-    model = RestorationModel(_ddem_config(cfg, in_ch), cfg.backbone, seed=seed)
+    model = RestorationModel(cfg.ddem, cfg.backbone, stage, seed=seed)
     if state is not None:
         model.load_state(state)
     return model
@@ -91,21 +77,6 @@ def evaluate(model: RestorationModel, samples: list[SynthSample],
             p_res.append(metrics.psnr(out, s.clean))
             s_res.append(metrics.ssim(out, s.clean))
     return float(np.mean(p_deg)), float(np.mean(p_res)), float(np.mean(s_res))
-
-
-def _inherit_stage1(student: RestorationModel,
-                    stage1_state: dict[str, np.ndarray]) -> None:
-    """Copy every stage-1 parameter into the 3-channel student; the stem
-    weight keeps only the slices that read the degraded image."""
-    params = student.parameters()
-    for name, p in params.items():
-        src = stage1_state[name]
-        if name == "ddem.stem.weight":
-            src = src[:, : p.data.shape[1]]
-        if src.shape != p.data.shape:
-            raise ValueError(f"stage-1 shape mismatch for {name}: "
-                             f"{src.shape} vs {p.data.shape}")
-        p.data = src.copy()
 
 
 def _check_gradients(params: dict[str, Tensor], step: int) -> None:
@@ -258,15 +229,12 @@ class _Worker:
         if isinstance(reply, Exception):
             raise reply from RuntimeError(
                 f"raised in training worker {self.pid} (lane {self.lane})")
-        losses, missing = reply
-        for n, (p, g) in enumerate(zip(trained, self.slot)):
-            if n in missing:
-                continue
-            if p.grad is None:       # g is the worker's first write, g + 0.0
+        for p, g in zip(trained, self.slot):
+            if p.grad is None:       # g is the worker's first write, 0.0 + g
                 p.grad = g.copy()
             else:
                 p.grad += g
-        return losses
+        return reply
 
     def stop(self) -> None:
         import signal
@@ -279,29 +247,23 @@ def _serve(conn, model: RestorationModel, trained: list[Tensor],
            slot: list[np.ndarray], stage: int, train_set: list[SynthSample],
            scale: float) -> None:
     """A worker's loop: backpropagate each sample index it is sent into
-    fresh gradients of the trained parameters, copy them into `slot` and
-    reply with the losses and the positions of the parameters that got
-    none; an exception is replied instead. Returns at EOF, once the parent
-    has closed its end or died."""
+    `slot`, zeroed and bound as the trained parameters' gradients, so that
+    Tensor.backward writes them there, and reply with the losses; an
+    exception is replied instead. Returns at EOF, once the parent has
+    closed its end or died."""
     while True:
         try:
             i, t_z = conn.recv()
         except EOFError:
             return
-        for p in trained:
-            p.grad = None
+        for p, g in zip(trained, slot):
+            g.fill(0.0)
+            p.grad = g
         try:
-            losses = _sample_backward(model, train_set[i], stage, scale, t_z)
+            reply = _sample_backward(model, train_set[i], stage, scale, t_z)
         except Exception as exc:
-            conn.send(exc)
-            continue
-        missing = set()
-        for n, (p, g) in enumerate(zip(trained, slot)):
-            if p.grad is None:
-                missing.add(n)
-            else:
-                np.copyto(g, p.grad)
-        conn.send((losses, missing))
+            reply = exc
+        conn.send(reply)
 
 
 @functools.cache
@@ -499,13 +461,12 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str) -> TrainResult:
 
     # neither model draws an initialisation: both are filled from the
     # checkpoint, the teacher adopting its arrays, the student copying them
-    teacher = DDEM(_ddem_config(cfg, 6), None)
-    teacher.load_state({k[len("ddem."):]: v for k, v in tensors.items()
-                        if k.startswith("ddem.")})
+    # with its stem cut to the input slices that read the degraded image
+    teacher = build_model(cfg, 1, state=tensors).ddem
     teacher_digest = _digests(teacher)
-
-    student = build_model(cfg, stage=2, draw=False)
-    _inherit_stage1(student, tensors)
+    student = build_model(cfg, 2, state={
+        k: (v[:, :3] if k == "ddem.stem.weight" else v).copy()
+        for k, v in tensors.items()})
     del tensors  # the teacher holds its arrays, the student its copies
 
     train_set, heldout = _datasets(cfg)

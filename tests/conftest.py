@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,19 @@ def toy_run_config(output_dir: str, **overrides) -> dict:
         else:
             cfg[key] = value
     return cfg
+
+
+def run_script(script: str, *args: str):
+    """The last line of standard output, read as JSON, of `script` run in a
+    fresh interpreter that imports this checkout's modem and the tests'
+    conftest."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import toy_run_config
+from conftest import run_script, toy_run_config
 from modem import cli
 from modem.cli import main
 from modem.data import make_clean_image, synth_degrade
@@ -176,6 +176,35 @@ class TestTrain:
         assert main(["train", "--stage", "2",
                      "--config", write_cfg(tmp_path, payload)]) == 2
 
+    @pytest.mark.parametrize("section, key", [("ddem", "num_groups"),
+                                              ("backbone", "refinement_depth")])
+    def test_stage1_checkpoint_of_another_model_usage_error(
+            self, trained, tmp_path, capsys, section, key):
+        # was a KeyError traceback, exit 1
+        _, _, stage1, _ = trained
+        payload = toy_run_config(str(tmp_path / "run"))
+        payload["train"]["stage"] = 2
+        payload[section][key] = 2
+        capsys.readouterr()
+        assert main(["train", "--stage", "2", "--config",
+                     write_cfg(tmp_path, payload), "--from", stage1]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not os.path.exists(str(tmp_path / "run"))
+
+    def test_out_of_memory_usage_error(self, tmp_path, capsys, monkeypatch):
+        # was numpy's _ArrayMemoryError traceback, exit 1, for a patch too
+        # large to allocate; raised here without allocating anything
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 894. GiB")
+
+        monkeypatch.setattr("modem.train.make_dataset", no_memory)
+        payload = toy_run_config(str(tmp_path / "run"))
+        assert main(["train", "--stage", "1",
+                     "--config", write_cfg(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 894. GiB\n")
+
     def test_outputs_exist(self, trained):
         root, _, stage1, stage2 = trained
         assert os.path.exists(stage1)
@@ -236,6 +265,61 @@ def test_golden_bytes(trained, tmp_path):
             "On another BLAS build or CPU the kernels may round differently. "
             "If the bytes moved on purpose, state why and by how much, then "
             "re-pin GOLDEN with the digests above.")
+
+
+PAPER_RESTORE = """
+import hashlib, json, os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"   # the bytes depend on it
+import contextlib, io
+import numpy as np
+from modem.cli import main
+from modem.config import RunConfig
+from modem.fileio import write_ppm
+from modem.model import save_checkpoint
+from modem.train import build_model
+
+out = sys.argv[1]
+ckpt, cfg, lq = (os.path.join(out, n) for n in ("s2.ckpt", "cfg.json", "lq.ppm"))
+state = {k: p.data for k, p in build_model(RunConfig(), 2).parameters().items()}
+w = "backbone.out_conv.weight"   # off its zero init: not the identity map
+state[w] = np.random.default_rng(1).normal(scale=0.05, size=state[w].shape)
+save_checkpoint(ckpt, state, 2)
+with open(cfg, "w") as f:
+    f.write("{}")
+write_ppm(lq, np.random.default_rng(2).random((3, 64, 64)))
+log = io.StringIO()
+with contextlib.redirect_stdout(log):
+    codes = [main(["restore", "--checkpoint", ckpt, "--config", cfg, "--in", lq,
+                   "--out", os.path.join(out, "restored.ppm")]),
+             main(["decompose", "--checkpoint", ckpt, "--config", cfg,
+                   "--in", lq, "--outdir", out])]
+names = ("s2.ckpt", "lq.ppm", "restored.ppm", "longrange.ppm", "local.ppm",
+         "output.ppm")
+print(json.dumps({"codes": codes, "log": log.getvalue().splitlines()[-1],
+                  **{n: hashlib.sha256(open(os.path.join(out, n), "rb").read())
+                     .hexdigest() for n in names}}))
+"""
+
+
+def test_paper_default_restore_golden_bytes(tmp_path):
+    """A 64x64 restore and decompose at the paper-default widths keep their
+    bytes at one BLAS thread; a change that moves them must say why and
+    re-pin the digests."""
+    assert run_script(PAPER_RESTORE, str(tmp_path)) == {
+        "codes": [0, 0],
+        "log": "identity_deviation: 0.000e+00",
+        "s2.ckpt":
+            "7479b5651503251f4f115ea14e338acabc1abed734fa88de6314ca87b41cb2bb",
+        "lq.ppm":
+            "3c2ae424cd16da3df87fdc87ff7dd7d28bc4aec3bae4aba93cd1a1cfe628a1f3",
+        "restored.ppm":
+            "000e3b00d30dc573263a1905b532afde44dbf571438f5adb8dd47b9cc41da0c0",
+        "longrange.ppm":
+            "3a2ef1da4970f6d7e3085e9aa1c18c9fa0f13990d5a1d7815af87efe5b26e8d6",
+        "local.ppm":
+            "b10016f929ca4c239eab83256139695e0493d33712f01965812e851cfc09cf1d",
+        "output.ppm":
+            "c06a50e62c15b7834cb43035264de079d39bca9dc905fe22bd1307dbfcfdf5b5"}
 
 
 def make_ppm_pair(tmp_path, patch=32):

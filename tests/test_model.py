@@ -15,9 +15,8 @@ from modem.model import (Backbone, BackboneConfig, CheckpointFormatError,
 from modem.tensor import ContractError, Tensor
 
 
-def tiny_ddem_cfg(in_channels=6):
-    return DDEMConfig(in_channels=in_channels, channels=6, num_groups=1,
-                      mdsl_per_group=1, c_d=8, c_d1=4, c_d2=5, d_state=3,
+def tiny_ddem_cfg():
+    return DDEMConfig(channels=6, num_groups=1, mdsl_per_group=1, d_state=3,
                       dt_rank=2)
 
 
@@ -27,6 +26,14 @@ def tiny_backbone_cfg():
                           d_state=3, dt_rank=2)
 
 
+def tiny_ddem(rng, stage=1):
+    return DDEM(tiny_ddem_cfg(), tiny_backbone_cfg(), stage, rng)
+
+
+def tiny_model(seed):
+    return RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), 1, seed=seed)
+
+
 def state_of(module):
     """A copy of every parameter of `module`, by name."""
     return {k: v.data.copy() for k, v in module.parameters().items()}
@@ -34,16 +41,16 @@ def state_of(module):
 
 class TestDDEM:
     def test_prior_shapes(self, rng):
-        cfg = tiny_ddem_cfg()
-        ddem = DDEM(cfg, rng)
+        cfg = tiny_backbone_cfg()
+        ddem = tiny_ddem(rng)
         priors = ddem(Tensor(rng.normal(size=(6, 8, 8))))
         assert priors.z_tilde.shape == (4 * cfg.c_d,)
         assert priors.z0.shape == (cfg.c_d,)
         assert priors.z1.shape == (cfg.c_d1, cfg.c_d2)
 
     def test_z1_is_normalized_gram(self, rng):
-        cfg = tiny_ddem_cfg()
-        ddem = DDEM(cfg, rng)
+        cfg = tiny_backbone_cfg()
+        ddem = tiny_ddem(rng)
         image = Tensor(rng.normal(size=(6, 5, 7)))
         priors = ddem(image)
         # recompute the Gram product from the projection outputs
@@ -60,12 +67,12 @@ class TestDDEM:
                                    rtol=1e-12)
 
     def test_wrong_channel_count(self, rng):
-        ddem = DDEM(tiny_ddem_cfg(), rng)
+        ddem = tiny_ddem(rng)
         with pytest.raises(ContractError):
             ddem(Tensor(rng.normal(size=(3, 8, 8))))
 
     def test_three_channel_variant(self, rng):
-        ddem = DDEM(tiny_ddem_cfg(in_channels=3), rng)
+        ddem = tiny_ddem(rng, stage=2)
         priors = ddem(Tensor(rng.normal(size=(3, 8, 8))))
         assert priors.z0.shape == (8,)
 
@@ -74,7 +81,7 @@ class TestBackbone:
     def test_identity_at_init(self, rng):
         cfg = tiny_backbone_cfg()
         bb = Backbone(cfg, rng)
-        ddem = DDEM(tiny_ddem_cfg(), np.random.default_rng(1))
+        ddem = tiny_ddem(np.random.default_rng(1))
         priors = ddem(Tensor(rng.normal(size=(6, 8, 8))))
         image = rng.uniform(size=(3, 8, 8))
         out = bb(Tensor(image), priors)
@@ -84,7 +91,7 @@ class TestBackbone:
     def test_padding_preserves_extents(self, hw, rng):
         H, W = hw
         bb = Backbone(tiny_backbone_cfg(), rng)
-        ddem = DDEM(tiny_ddem_cfg(), np.random.default_rng(1))
+        ddem = tiny_ddem(np.random.default_rng(1))
         priors = ddem(Tensor(rng.normal(size=(6, 8, 8))))
         out = bb(Tensor(rng.uniform(size=(3, H, W))), priors)
         assert out.shape == (3, H, W)
@@ -101,28 +108,28 @@ class TestBackbone:
 
 class TestRestorationModel:
     def test_deterministic_init(self):
-        m1 = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=5)
-        m2 = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=5)
+        m1 = tiny_model(5)
+        m2 = tiny_model(5)
         for (n1, p1), (n2, p2) in zip(sorted(m1.parameters().items()),
                                       sorted(m2.parameters().items())):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_different_seeds_differ(self):
-        m1 = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=5)
-        m2 = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=6)
+        m1 = tiny_model(5)
+        m2 = tiny_model(6)
         same = all(np.array_equal(p1.data, p2.data)
                    for p1, p2 in zip(m1.parameters().values(),
                                      m2.parameters().values()))
         assert not same
 
     def test_param_count_invariant_to_seed(self):
-        m1 = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
-        m2 = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=9)
+        m1 = tiny_model(0)
+        m2 = tiny_model(9)
         assert m1.num_parameters() == m2.num_parameters()
 
     def test_forward_pipeline(self, rng):
-        model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+        model = tiny_model(0)
         lq = Tensor(rng.uniform(size=(3, 8, 8)))
         pair = Tensor(rng.uniform(size=(6, 8, 8)))
         restored, priors = model(lq, pair)
@@ -206,7 +213,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_name_mismatch_on_load_state(self, tmp_path):
-        model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+        model = tiny_model(0)
         state = state_of(model)
         state["bogus.weight"] = np.zeros(3)
         with pytest.raises(KeyError):
@@ -218,10 +225,10 @@ class TestCheckpoint:
             model.load_state(state)
 
     def test_model_state_roundtrip(self, tmp_path, rng):
-        model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+        model = tiny_model(0)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, state_of(model), stage=1)
-        other = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=3)
+        other = tiny_model(3)
         tensors, _ = load_checkpoint(path)
         other.load_state(tensors)
         lq = Tensor(rng.uniform(size=(3, 8, 8)))
@@ -231,14 +238,14 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_load_state_adopts_float64_arrays(self):
-        model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+        model = tiny_model(0)
         state = state_of(model)
         model.load_state(state)
         for name, p in model.parameters().items():
             assert p.data is state[name]
 
     def test_load_state_copies_other_arrays(self):
-        model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+        model = tiny_model(0)
         state = state_of(model)
         state["backbone.embed.weight"].flags.writeable = False
         state["backbone.embed.bias"] = state["backbone.embed.bias"].astype(np.float32)
@@ -255,7 +262,7 @@ class TestCheckpoint:
 
 
 def tiny_state():
-    model = RestorationModel(tiny_ddem_cfg(), tiny_backbone_cfg(), seed=0)
+    model = tiny_model(0)
     return state_of(model)
 
 

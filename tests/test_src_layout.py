@@ -64,3 +64,19 @@ def test_every_method_is_used_in_src(trees):
         and not (d.name.startswith("__") and d.name.endswith("__"))],
         kinds=(ast.Attribute,))
     assert not found, f"methods in src/modem used only outside it: {found}"
+
+
+def test_every_attribute_set_on_self_is_read_in_src(trees):
+    """An attribute a class assigns on `self` counts as read when src/modem
+    loads some attribute of its name, as in `obj.name`; assigning it does
+    not count."""
+    read = collections.Counter(
+        n.attr for t in trees.values() for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    found = sorted({
+        f"{m}:{c.name}.{n.attr}" for m, t in trees.items()
+        for c in ast.walk(t) if isinstance(c, ast.ClassDef)
+        for n in ast.walk(c) if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+        and n.value.id == "self" and not read[n.attr]})
+    assert not found, f"set on self in src/modem but never read: {found}"

@@ -1,21 +1,20 @@
 """Optimizer arithmetic, schedule shape, and the two training stages."""
 
 import hashlib
-import json
 import os
 import platform
 import signal
-import subprocess
-import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import toy_run_config
+from conftest import run_script, toy_run_config
 from modem import train
 from modem.config import RunConfig, config_from_dict
+from modem.data import make_dataset
 from modem.model import DDEM, RestorationModel, load_checkpoint
 from modem.optim import CHUNK, AdamW, CosineRestartSchedule
 from modem.tensor import Tensor
@@ -335,19 +334,6 @@ class TestSampleGraphRelease:
             "stage": 2, "iterations": 2, "periods": [2]}))
         train_stage2(cfg, r1.checkpoint_path)
         assert len(refs) == 4 and len(checks) >= 6
-
-
-def run_script(script: str, *args: str):
-    """The last line of standard output, read as JSON, of `script` run in a
-    fresh interpreter that imports this checkout's modem and the tests'
-    conftest."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                         capture_output=True, text=True, timeout=600)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
 
 
 # minor page faults of each toy stage-1 step at patch 64, from the
@@ -723,6 +709,36 @@ class TestLanes:
         assert train._lanes(4) == 1
 
 
+def test_worker_binds_its_slot_as_gradients():
+    """One toy sample through a worker's loop, driven in a thread over a
+    pipe: the worker zeroes its slot and binds it as the gradients, so the
+    backward writes there, with the bytes of a backward into fresh ones."""
+    from multiprocessing.connection import Pipe
+    model = build_model(config_from_dict(toy_run_config("unused")), stage=1)
+    train_set = make_dataset(1, 16, 16, ("haze",), (0.4, 0.6), 0)
+    trained = list(model.parameters().values())
+    slot = [np.full_like(p.data, np.nan) for p in trained]
+    ours, theirs = Pipe()
+    worker = threading.Thread(target=train._serve, args=(
+        theirs, model, trained, slot, 1, train_set, 0.5))
+    worker.start()
+    try:
+        ours.send((0, None))
+        assert ours.poll(120), "the worker sent no reply"
+        losses = ours.recv()
+    finally:
+        ours.close()                 # EOF: the worker's loop returns
+        worker.join(timeout=120)
+    assert not worker.is_alive()
+    theirs.close()
+    assert all(p.grad is g for p, g in zip(trained, slot))
+    for p in trained:
+        p.grad = None
+    assert train._sample_backward(model, train_set[0], 1, 0.5, None) == losses
+    for p, g in zip(trained, slot):
+        assert p.grad.tobytes() == g.tobytes()
+
+
 class TestStage2:
     def test_distillation_run(self, stage1_result, tmp_path):
         cfg1, r1 = stage1_result
@@ -741,13 +757,15 @@ class TestStage2:
         lines = open(r2.csv_path).read().splitlines()
         assert all(line.split(",")[3] != "" for line in lines[1:])
 
-    def test_student_inherits_stage1_weights(self, stage1_result):
+    def test_student_inherits_stage1_weights(self, stage1_result,
+                                             monkeypatch):
         cfg1, r1 = stage1_result
         tensors, _ = load_checkpoint(r1.checkpoint_path)
-        from modem.train import _inherit_stage1
-        student = build_model(cfg1, stage=2)
-        _inherit_stage1(student, tensors)
-        params = student.parameters()
+        students = []
+        monkeypatch.setattr(train, "_run_loop",
+                            lambda cfg, model, *args: students.append(model))
+        train_stage2(cfg1, r1.checkpoint_path)
+        params = students[0].parameters()
         np.testing.assert_array_equal(
             params["ddem.stem.weight"].data,
             tensors["ddem.stem.weight"][:, :3])
