@@ -12,13 +12,12 @@ import sys
 import numpy as np
 
 from . import gradcheck, metrics
-from .config import ConfigError, env_seed, load_config
-from .fileio import PPMFormatError, atomic_write_text, read_ppm, write_ppm
-from .model import CheckpointFormatError, load_checkpoint
+from .config import env_seed, load_config
+from .fileio import atomic_write_text, read_ppm, write_ppm
+from .model import load_checkpoint
 from .scan_orders import SCAN_KINDS, build_order, locality_stats
 from .tensor import Tensor, no_grad
-from .train import (TrainingDivergedError, build_model, train_stage1,
-                    train_stage2)
+from .train import build_model, train_stage1, train_stage2
 
 USAGE_ERROR = 2
 RUN_FAILURE = 1
@@ -30,12 +29,10 @@ def _cmd_scan_compare(args) -> int:
     kinds = args.kinds.split(",") if args.kinds else list(SCAN_KINDS)
     for kind in kinds:
         if kind not in SCAN_KINDS:
-            print(f"error: unknown scan kind {kind!r}", file=sys.stderr)
-            return USAGE_ERROR
-    problem = args.out and _output_error(args.out, directory=False)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return USAGE_ERROR
+            raise ValueError(f"unknown scan kind {kind!r}")
+    if args.out:
+        _check_output(args.out, directory=False)
+    grid = f"a {args.height}x{args.width} grid"
     rows = ["kind,height,width,build_seconds,mean,median,p95,block_depth"]
     for kind in kinds:
         times = []
@@ -46,14 +43,10 @@ def _cmd_scan_compare(args) -> int:
                                    window=args.window)
                 times.append(time.perf_counter() - t0)
             stats = locality_stats(perm)
-        except MemoryError:
-            print(f"error: a {args.height}x{args.width} grid does not fit "
-                  "in memory", file=sys.stderr)
-            return USAGE_ERROR
+        except MemoryError as exc:
+            raise ValueError(f"{grid} does not fit in memory") from exc
         except ValueError as exc:
-            print(f"error: a {args.height}x{args.width} grid: {exc}",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"{grid}: {exc}") from exc
         rows.append(
             f"{kind},{args.height},{args.width},{np.median(times):.6e},"
             f"{stats['mean']:.6e},{stats['median']:.6e},{stats['p95']:.6e},"
@@ -61,20 +54,12 @@ def _cmd_scan_compare(args) -> int:
         )
         print(rows[-1])
     if args.out:
-        try:
-            atomic_write_text(args.out, "\n".join(rows) + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        atomic_write_text(args.out, "\n".join(rows) + "\n")
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
-    try:
-        seed = env_seed(args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    seed = env_seed(args.seed)
     ok = True
     for name, fn in gradcheck.CHECKS.items():
         err = fn(seed=seed)
@@ -91,26 +76,13 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        if args.stage == 1:
-            result = train_stage1(cfg)
-        else:
-            if not args.from_checkpoint:
-                print("error: --from STAGE1_CKPT is required for stage 2",
-                      file=sys.stderr)
-                return USAGE_ERROR
-            result = train_stage2(cfg, args.from_checkpoint)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUN_FAILURE
-    except (CheckpointFormatError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cfg = load_config(args.config)
+    if args.stage == 1:
+        result = train_stage1(cfg)
+    elif not args.from_checkpoint:
+        raise ValueError("--from STAGE1_CKPT is required for stage 2")
+    else:
+        result = train_stage2(cfg, args.from_checkpoint)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"loss_csv: {result.csv_path}")
     print(f"loss_first: {result.loss_first:.6f}")
@@ -121,63 +93,44 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _output_error(path: str, directory: bool) -> str | None:
-    """Why `path` cannot take the output file (with `directory`, the output
-    directory), or None: checked before any work is done."""
+def _check_output(path: str, directory: bool) -> None:
+    """Raise ValueError where `path` cannot take the output file (with
+    `directory`, the output directory): checked before any work is done."""
     if os.path.exists(path) and os.path.isdir(path) != directory:
-        return f"{path} is {'not ' if directory else ''}a directory"
+        raise ValueError(f"{path} is {'not ' if directory else ''}a directory")
     parent = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
     if not os.path.isdir(parent):
-        return f"{path}: {parent} is not a directory"
-    return None
+        raise ValueError(f"{path}: {parent} is not a directory")
 
 
 def _load_inputs(args, output: str, directory: bool = False):
     """(model, input image, reference or None, estimator input) for restore
-    and decompose, once `output` is known to be writable; prints the error
-    and returns None on bad input."""
-    problem = _output_error(output, directory)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return None
-    try:
-        cfg = load_config(args.config)
-        tensors, stage = load_checkpoint(args.checkpoint)
-        model = build_model(cfg, stage=stage, state=tensors)
-        lq = read_ppm(args.input)
-        ref = read_ppm(args.ref) if args.ref else None
-    except (OSError, ConfigError, CheckpointFormatError, PPMFormatError,
-            KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    and decompose, once `output` is known to be writable."""
+    _check_output(output, directory)
+    cfg = load_config(args.config)
+    tensors, stage = load_checkpoint(args.checkpoint)
+    model = build_model(cfg, stage=stage, state=tensors)
+    lq = read_ppm(args.input)
+    ref = read_ppm(args.ref) if args.ref else None
     if ref is not None and ref.shape != lq.shape:
-        print(f"error: --ref is {ref.shape[2]}x{ref.shape[1]} but --in is "
-              f"{lq.shape[2]}x{lq.shape[1]}; they must be the same size",
-              file=sys.stderr)
-        return None
+        raise ValueError(
+            f"--ref is {ref.shape[2]}x{ref.shape[1]} but --in is "
+            f"{lq.shape[2]}x{lq.shape[1]}; they must be the same size")
     if stage == 1 and ref is None:
-        print("error: a stage-1 checkpoint needs --ref (the estimator reads "
-              "the reference alongside the input)", file=sys.stderr)
-        return None
+        raise ValueError("a stage-1 checkpoint needs --ref (the estimator "
+                         "reads the reference alongside the input)")
     ddem_in = np.concatenate([lq, ref], axis=0) if stage == 1 else lq
     return model, lq, ref, ddem_in
 
 
 def _cmd_restore(args) -> int:
-    inputs = _load_inputs(args, args.output)
-    if inputs is None:
-        return USAGE_ERROR
-    model, lq, ref, ddem_in = inputs
+    model, lq, ref, ddem_in = _load_inputs(args, args.output)
     with no_grad():
         restored, _ = model(Tensor(lq), Tensor(ddem_in))
     out = np.clip(restored.data, 0.0, 1.0)
-    try:
-        write_ppm(args.output, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    write_ppm(args.output, out)
     print(f"restored: {args.output}")
     if ref is not None:
         print(f"psnr_in: {metrics.psnr(lq, ref):.4f}")
@@ -188,10 +141,7 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    inputs = _load_inputs(args, args.outdir, directory=True)
-    if inputs is None:
-        return USAGE_ERROR
-    model, lq, _, ddem_in = inputs
+    model, lq, _, ddem_in = _load_inputs(args, args.outdir, directory=True)
     with no_grad():
         priors = model.ddem(Tensor(ddem_in))
         _, feat, cond = model.backbone.front_end(Tensor(lq), priors)
@@ -206,25 +156,17 @@ def _cmd_decompose(args) -> int:
         g = (m - lo) / (hi - lo) if hi > lo else np.zeros_like(m)
         write_ppm(os.path.join(args.outdir, name), np.stack([g, g, g]))
 
-    try:
-        os.makedirs(args.outdir, exist_ok=True)
-        save_gray("longrange.ppm", longrange)
-        save_gray("local.ppm", local)
-        save_gray("output.ppm", y)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    os.makedirs(args.outdir, exist_ok=True)
+    save_gray("longrange.ppm", longrange)
+    save_gray("local.ppm", local)
+    save_gray("output.ppm", y)
     print(f"maps: {args.outdir}/{{longrange,local,output}}.ppm")
     print(f"identity_deviation: {deviation:.3e}")
     return 0 if deviation < 1e-12 else RUN_FAILURE
 
 
 def _cmd_params(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cfg = load_config(args.config)
     model = build_model(cfg, stage=args.stage, draw=False)
     counts = {"ddem": model.ddem.num_parameters(),
               "backbone": model.backbone.num_parameters()}
@@ -299,13 +241,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Commands raise on failure, and only here does an
+    exception become one `error:` line and an exit code: a run that failed
+    (RuntimeError: divergence, a dead training worker, a moved teacher)
+    exits 1, and a bad input (ValueError, OSError, KeyError for names a
+    checkpoint lacks, MemoryError for sizes that do not fit) exits 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except MemoryError as exc:      # sizes from the config or the input
-        print(f"error: out of memory: {exc}" if str(exc) else
-              "error: out of memory", file=sys.stderr)
-        return USAGE_ERROR
+        code = USAGE_ERROR
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+    except RuntimeError as exc:
+        code, message = RUN_FAILURE, str(exc)
+    except KeyError as exc:         # str() would quote the message
+        code, message = USAGE_ERROR, exc.args[0] if exc.args else ""
+    except (OSError, ValueError) as exc:
+        code, message = USAGE_ERROR, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

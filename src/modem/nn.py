@@ -47,9 +47,8 @@ class Module:
         missing = sorted(set(params) - set(state))
         extra = sorted(set(state) - set(params))
         if missing or extra:
-            raise KeyError(
-                f"parameter name mismatch; missing={missing}, extra={extra}"
-            )
+            raise KeyError(f"parameter names do not match: missing "
+                           f"{_first(missing)}, extra {_first(extra)}")
         for name, p in params.items():
             if p.data.shape != state[name].shape:
                 raise ValueError(
@@ -59,6 +58,12 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+
+def _first(names: list[str]) -> str:
+    """How many `names` there are and, for an error line, the first three."""
+    more = ", ..." if len(names) > 3 else ""
+    return f"{len(names)} ({', '.join(names[:3])}{more})" if names else "0"
 
 
 def param(data: np.ndarray) -> Tensor:

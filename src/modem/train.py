@@ -349,8 +349,8 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
     one lane."""
     tc = cfg.train
     params = model.parameters()
-    if stage == 2 and tc.freeze_backbone:
-        params = {k: v for k, v in params.items() if not k.startswith("backbone.")}
+    frozen = [params.pop(k) for k in list(params) if stage == 2
+              and tc.freeze_backbone and k.startswith("backbone.")]
     opt = AdamW(params, lr=tc.base_lr, betas=tc.betas,
                 weight_decay=tc.weight_decay)
     sched = CosineRestartSchedule(tc.base_lr, list(tc.periods),
@@ -373,6 +373,12 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
     rows = [CSV_HEADER]
     totals: list[float] = []
     with contextlib.ExitStack() as stack:
+        # a frozen backbone takes no gradient in this process or its
+        # workers; the flag comes back on every way out, before the
+        # checkpoint is written, since Module.parameters selects on it
+        for p in frozen:
+            p.requires_grad = False
+            stack.callback(setattr, p, "requires_grad", True)
         workers: list[_Worker] = []
         lanes = 1
         for step in range(tc.iterations):

@@ -5,12 +5,13 @@ import hashlib
 import io
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
 
 from conftest import run_script, toy_run_config
-from modem import cli
+from modem import cli, train
 from modem.cli import main
 from modem.data import make_clean_image, synth_degrade
 from modem.fileio import read_ppm, write_ppm
@@ -191,6 +192,65 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert not os.path.exists(str(tmp_path / "run"))
+        # the names are counted, a few shown, and not quoted as a repr
+        assert len(err[0]) < 300 and not err[0].startswith(("error: '",
+                                                           'error: "')), err
+
+    def run_failure(self, trained, tmp_path, capsys, **train_options):
+        """The one `error:` line of a toy stage 2 from the shared stage-1
+        checkpoint that must exit 1, not end in a traceback."""
+        _, _, stage1, _ = trained
+        payload = toy_run_config(str(tmp_path / "run"), train={
+            "stage": 2, **train_options})
+        capsys.readouterr()
+        assert main(["train", "--stage", "2", "--config",
+                     write_cfg(tmp_path, payload), "--from", stage1]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_moved_teacher_is_run_failure(self, trained, tmp_path, capsys,
+                                          monkeypatch):
+        # was a RuntimeError traceback; nudged as in
+        # tests/test_training.py::TestStage2::test_teacher_change_detected
+        name = "groups.0.0.mos2d.a_log"
+        orig_run_loop = train._run_loop
+
+        def run_loop(cfg, model, stage, teacher, *args):
+            result = orig_run_loop(cfg, model, stage, teacher, *args)
+            w = teacher.parameters()[name].data.reshape(-1)
+            w[3] = np.nextafter(w[3], np.inf)
+            return result
+
+        monkeypatch.setattr(train, "_run_loop", run_loop)
+        err = self.run_failure(trained, tmp_path, capsys, iterations=1,
+                               periods=[1])
+        assert err == (f"error: teacher parameter {name} changed during "
+                       "stage 2\n")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="lanes fork workers")
+    def test_killed_worker_is_run_failure(self, trained, tmp_path, capsys,
+                                          monkeypatch):
+        # was a RuntimeError traceback; killed as in
+        # tests/test_training.py::TestLanes::test_killed_worker_named
+        parent, orig = os.getpid(), train._sample_backward
+        calls = []
+
+        def sample_backward(*args):
+            if os.getpid() != parent:
+                calls.append(None)           # the worker's own list
+                if len(calls) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return orig(*args)
+
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: 2)
+        monkeypatch.setattr(train, "_memory_available", lambda: 1 << 50)
+        monkeypatch.setattr(train, "_sample_backward", sample_backward)
+        err = self.run_failure(trained, tmp_path, capsys, iterations=3,
+                               periods=[3])
+        assert "training worker" in err and "(lane 1) ended" in err
+        with pytest.raises(ChildProcessError):    # every worker reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_out_of_memory_usage_error(self, tmp_path, capsys, monkeypatch):
         # was numpy's _ArrayMemoryError traceback, exit 1, for a patch too

@@ -80,3 +80,20 @@ def test_every_attribute_set_on_self_is_read_in_src(trees):
         and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
         and n.value.id == "self" and not read[n.attr]})
     assert not found, f"set on self in src/modem but never read: {found}"
+
+
+def test_only_cli_main_reports_errors(trees):
+    """`cli.main` is the one error boundary: the commands raise, and no
+    other function of cli.py writes to stderr or returns USAGE_ERROR, so a
+    new command cannot grow a handler of its own."""
+    def reporting(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in ("USAGE_ERROR", "stderr"):
+                yield n.id
+            elif isinstance(n, ast.Attribute) and n.attr == "stderr":
+                yield "sys.stderr"
+
+    found = sorted({f"{d.name}: {name}" for d in ast.walk(trees["cli.py"])
+                    if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and d.name != "main" for name in reporting(d)})
+    assert not found, f"error reporting outside cli.main: {found}"

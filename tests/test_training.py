@@ -793,6 +793,45 @@ class TestStage2:
             for k in trained if k.startswith("ddem."))
         assert moved
 
+    # SHA-256 of the 3-step frozen run's outputs, pinned before the frozen
+    # backbone stopped taking gradients: the same with one lane and two
+    FROZEN_GOLDEN = {
+        "stage2.ckpt":
+            "7dcc55b39c269fd3ec457f1ae5e7e44d3db7e0d907508f8e86bf660628034be7",
+        "loss_stage2.csv":
+            "bf5cc05fcd98324f7d09eea9ce7ceabce4245911bc0e7a03f2f1bdeb9bdac13d",
+    }
+
+    @pytest.mark.parametrize("lanes", [1, pytest.param(2, marks=(
+        pytest.mark.skipif(not hasattr(os, "fork"), reason="lanes fork")))])
+    def test_frozen_backbone_takes_no_gradient(self, stage1_result, tmp_path,
+                                               monkeypatch, lanes):
+        _, r1 = stage1_result
+        backbones, held = [], []
+        orig_run_loop, orig_step = train._run_loop, AdamW.step
+
+        def run_loop(cfg, model, *args):
+            backbones.append(list(model.backbone.parameters().values()))
+            return orig_run_loop(cfg, model, *args)
+
+        def step(self, *args, **kwargs):
+            held.append(sum(p.grad is not None for p in backbones[0]))
+            return orig_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(train, "_run_loop", run_loop)
+        monkeypatch.setattr(AdamW, "step", step)
+        monkeypatch.setattr(train, "_lanes", lambda batch_size: lanes)
+        monkeypatch.setattr(train, "_memory_available", lambda: 1 << 50)
+        out = tmp_path / "frozen"
+        cfg = config_from_dict(toy_run_config(str(out), train={
+            "stage": 2, "iterations": 3, "periods": [3],
+            "freeze_backbone": True}))
+        train_stage2(cfg, r1.checkpoint_path)
+        assert held == [0, 0, 0]
+        assert all(p.requires_grad for p in backbones[0])
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in self.FROZEN_GOLDEN} == self.FROZEN_GOLDEN
+
     def test_teacher_change_detected(self, stage1_result, tmp_path,
                                      monkeypatch):
         # a teacher weight nudged in place during stage 2 ends the run with
