@@ -222,8 +222,8 @@ class MOS2D(Module):
         del xs, delta, b, c                 # not held through the gate's bands
         y = ys.take(perm.inverse)                         # back to raster order
         del ys
-        (out,) = per_band(lambda s, e: (self.out_proj(
-            y.slice_axis(0, s, e) * z.slice_axis(0, s, e).silu()),), len(perm))
+        (out,) = per_band(lambda s, e: (self.out_proj(ops.silu_gate(
+            y.slice_axis(0, s, e), z.slice_axis(0, s, e))),), len(perm))
         return out.T.reshape(feat.shape)
 
     def decompose(self, feat: Tensor, cond: LevelConditioning | None = None,

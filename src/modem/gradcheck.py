@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .blocks import (CAB, DSAM, MDSL, MOS2D, DAFMAdapter, DegradationPriors,
                      LevelConditioning, MOS2DConfig, S6ParamHead, dafm_apply)
 from .losses import correlation_loss, kl_loss, l1_loss
 from .model import DDEM, BackboneConfig, DDEMConfig
+from .nn import LayerNorm2d
 from .tensor import Tensor
 
 FD_TOLERANCE = 1e-4
@@ -66,6 +68,33 @@ def _toy_priors(rng: np.random.Generator) -> DegradationPriors:
         z0=Tensor(rng.normal(size=_TOY_C_D), requires_grad=True),
         z1=Tensor(rng.normal(size=(_TOY_C_D1, _TOY_C_D2)), requires_grad=True),
     )
+
+
+def check_layernorm(seed: int = 0) -> float:
+    rng = np.random.default_rng(seed)
+    norm = LayerNorm2d(4)
+    # move off the (1, 0) init so both affine gradients are exercised
+    norm.gamma.data = rng.normal(size=norm.gamma.shape)
+    norm.beta.data = rng.normal(size=norm.beta.shape)
+    x = Tensor(rng.normal(scale=2.0, size=(4, 3, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, 5)))
+    tensors = dict(norm.parameters(), x=x)
+
+    def fn():
+        return ((norm(x) * w) ** 2).mean()
+
+    return fd_check(fn, tensors, seed=seed)
+
+
+def check_gate(seed: int = 0) -> float:
+    rng = np.random.default_rng(seed)
+    y = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    z = Tensor(rng.normal(scale=3.0, size=(6, 4)), requires_grad=True)
+
+    def fn():
+        return (ops.silu_gate(y, z) ** 2).mean()
+
+    return fd_check(fn, {"y": y, "z": z}, seed=seed)
 
 
 def check_dafm(seed: int = 0) -> float:
@@ -204,6 +233,8 @@ def negative_control(seed: int = 0) -> float:
 
 
 CHECKS = {
+    "layernorm": check_layernorm,
+    "gate": check_gate,
     "dafm": check_dafm,
     "dsam": check_dsam,
     "s6-head": check_s6_head,

@@ -111,7 +111,8 @@ class Conv2d(Module):
 
 
 class LayerNorm2d(Module):
-    """Channel-wise layer norm over (C, H, W) feature maps, learned affine."""
+    """Channel-wise layer norm over (C, H, W) feature maps, learned affine:
+    one tape node (`ops.layer_norm`)."""
 
     def __init__(self, channels: int, eps: float = 1e-6):
         self.gamma = param(np.ones((channels, 1, 1)))
@@ -119,4 +120,4 @@ class LayerNorm2d(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.layernorm(x, axis=0, eps=self.eps) * self.gamma + self.beta
+        return ops.layer_norm(x, self.gamma, self.beta, self.eps)

@@ -348,24 +348,28 @@ class Tensor:
             data = a.data @ b.data
 
         def backward(grad):
+            # each parent's gradient, formed only if the parent takes one
             ad, bd = a.data, b.data
             if a.ndim == 1 and b.ndim == 1:
-                return grad * bd, grad * ad
-            if a.ndim == 1:  # (k,) @ (k, n) -> (n,)
+                rules = (lambda: grad * bd, lambda: grad * ad)
+            elif a.ndim == 1:  # (k,) @ (k, n) -> (n,)
                 # for a transposed C array (a 1-D Linear's x @ W.T) the same
                 # products in W's own order, so W's leaf copy is a straight one
-                if bd.flags.f_contiguous:
-                    return grad @ bd.T, np.outer(grad, ad).T
-                return grad @ bd.T, np.outer(ad, grad)
-            if b.ndim == 1:  # (..., m, k) @ (k,) -> (..., m)
-                ga = grad[..., None] * bd
-                gb = (np.swapaxes(ad, -1, -2) @ grad[..., None])[..., 0]
-                if gb.ndim > 1:
-                    gb = gb.sum(axis=tuple(range(gb.ndim - 1)))
-                return ga, gb
-            ga = grad @ np.swapaxes(bd, -1, -2)
-            gb = np.swapaxes(ad, -1, -2) @ grad
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+                rules = (lambda: grad @ bd.T,
+                         (lambda: np.outer(grad, ad).T) if bd.flags.f_contiguous
+                         else (lambda: np.outer(ad, grad)))
+            elif b.ndim == 1:  # (..., m, k) @ (k,) -> (..., m)
+                def gb():
+                    g = (np.swapaxes(ad, -1, -2) @ grad[..., None])[..., 0]
+                    return g.sum(axis=tuple(range(g.ndim - 1))) if g.ndim > 1 else g
+
+                rules = (lambda: grad[..., None] * bd, gb)
+            else:
+                rules = (
+                    lambda: _unbroadcast(grad @ np.swapaxes(bd, -1, -2), a.shape),
+                    lambda: _unbroadcast(np.swapaxes(ad, -1, -2) @ grad, b.shape))
+            return tuple(rule() if p.requires_grad else None
+                         for rule, p in zip(rules, (a, b)))
 
         return Tensor.from_op(data, (self, other), backward)
 

@@ -346,8 +346,10 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
     forked workers, each backpropagating one of every round of `lanes`
     consecutive samples. The workers' gradients are added round by round in
     sample order, so every sum, loss row and checkpoint keeps the bytes of
-    one lane."""
+    one lane. A `teacher` must come out of training bit-identical; it is
+    checked before anything is written."""
     tc = cfg.train
+    teacher_digest = _digests(teacher) if teacher is not None else {}
     params = model.parameters()
     frozen = [params.pop(k) for k in list(params) if stage == 2
               and tc.freeze_backbone and k.startswith("backbone.")]
@@ -425,6 +427,10 @@ def _run_loop(cfg: RunConfig, model: RestorationModel, stage: int,
     # checkpoint is written from the live weights, not from copies
     model.zero_grad()
     del opt
+    if teacher is not None:
+        for k, digest in _digests(teacher).items():
+            if digest != teacher_digest[k]:
+                raise RuntimeError(f"teacher parameter {k} changed during stage 2")
     csv_path = os.path.join(cfg.output_dir, f"loss_{tag}.csv")
     atomic_write_text(csv_path, "\n".join(rows) + "\n")
     ckpt_path = os.path.join(cfg.output_dir, f"{tag}.ckpt")
@@ -469,20 +475,13 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str) -> TrainResult:
     # checkpoint, the teacher adopting its arrays, the student copying them
     # with its stem cut to the input slices that read the degraded image
     teacher = build_model(cfg, 1, state=tensors).ddem
-    teacher_digest = _digests(teacher)
     student = build_model(cfg, 2, state={
         k: (v[:, :3] if k == "ddem.stem.weight" else v).copy()
         for k, v in tensors.items()})
     del tensors  # the teacher holds its arrays, the student its copies
 
     train_set, heldout = _datasets(cfg)
-    result = _run_loop(cfg, student, 2, teacher, train_set, heldout, "stage2")
-
-    # the teacher must come out of training bit-identical
-    for k, digest in _digests(teacher).items():
-        if digest != teacher_digest[k]:
-            raise RuntimeError(f"teacher parameter {k} changed during stage 2")
-    return result
+    return _run_loop(cfg, student, 2, teacher, train_set, heldout, "stage2")
 
 
 def _digests(module: DDEM) -> dict[str, bytes]:

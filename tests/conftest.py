@@ -44,6 +44,26 @@ def run_script(script: str, *args: str):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def nudge_teacher_mid_run(monkeypatch, name: str) -> None:
+    """Make every optimizer step of stage 2 move the frozen teacher's
+    parameter `name` by one ulp, in place, as a stray write during training
+    would."""
+    from modem import train
+    from modem.optim import AdamW
+    orig_run_loop, orig_step = train._run_loop, AdamW.step
+
+    def run_loop(cfg, model, stage, teacher, *args):
+        def step(self, *a, **k):
+            w = teacher.parameters()[name].data.reshape(-1)
+            w[3] = np.nextafter(w[3], np.inf)
+            return orig_step(self, *a, **k)
+
+        monkeypatch.setattr(AdamW, "step", step)
+        return orig_run_loop(cfg, model, stage, teacher, *args)
+
+    monkeypatch.setattr(train, "_run_loop", run_loop)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

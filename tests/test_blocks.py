@@ -312,3 +312,56 @@ class TestMDSL:
         for name, p in layer.parameters().items():
             assert p.grad is not None, name
         assert feat.grad is not None
+
+
+class TestFusedOpsInMDSL:
+    """MDSL with the fused layer norm and gate (`ops.layer_norm`,
+    `ops.silu_gate`) gives the bytes of the composed graphs they replace:
+    the recording forward and every gradient, and the no-grad forward that
+    runs the token chain band by band."""
+
+    @pytest.fixture
+    def composed(self, monkeypatch):
+        import composed_refs
+        from modem.nn import LayerNorm2d
+
+        def use():
+            monkeypatch.setattr(LayerNorm2d, "forward", lambda self, x:
+                                composed_refs.layer_norm(x, self.gamma,
+                                                         self.beta, self.eps))
+            monkeypatch.setattr(ops, "silu_gate", composed_refs.silu_gate)
+
+        return use
+
+    # toy and paper widths; 16x16 is one band, 65x64 several
+    @pytest.mark.parametrize("channels,d_state", [(8, 4), (36, 8)])
+    @pytest.mark.parametrize("hw", [(16, 16), (65, 64)])
+    def test_composed_bytes(self, rng, composed, channels, d_state, hw):
+        cfg = MOS2DConfig(channels=channels, d_state=d_state,
+                          conditioned=True)
+        layer = MDSL(cfg, rng)
+        adapter = DAFMAdapter(C_D, channels)
+        adapter.proj.weight.data = rng.normal(
+            scale=0.2, size=adapter.proj.weight.shape)
+        dsam = DSAM(channels, cfg.d_attn, C_D1, C_D2, rng)
+        priors = toy_priors(rng)
+        feat = rng.normal(size=(channels, *hw))
+        params = dict(layer.parameters(), **adapter.parameters("adapter"),
+                      **dsam.parameters("dsam"))
+
+        def run():
+            for p in params.values():
+                p.grad = None
+            x = Tensor(feat, requires_grad=True)
+            cond = LevelConditioning.from_priors(adapter, dsam, priors)
+            out = layer(x, cond)
+            (out * out).sum().backward()
+            with no_grad():
+                plain = layer(Tensor(feat), cond).data
+            return [out.data, plain, x.grad,
+                    *(p.grad for p in params.values())]
+
+        fused = run()
+        composed()
+        for u, v in zip(fused, run(), strict=True):
+            assert u.tobytes() == v.tobytes()

@@ -10,7 +10,7 @@ import signal
 import numpy as np
 import pytest
 
-from conftest import run_script, toy_run_config
+from conftest import nudge_teacher_mid_run, run_script, toy_run_config
 from modem import cli, train
 from modem.cli import main
 from modem.data import make_clean_image, synth_degrade
@@ -98,8 +98,11 @@ class TestGradcheck:
     def test_exits_zero(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9  # 8 blocks + detected negative control
+        # 10 blocks and ops + detected negative control
+        assert out.count("PASS") == 11
         assert "FAIL" not in out
+        assert "layernorm " in out and "gate " in out
+        assert "neg-control" in out and "PASS (detected)" in out
 
 
 class TestTrain:
@@ -211,22 +214,24 @@ class TestTrain:
 
     def test_moved_teacher_is_run_failure(self, trained, tmp_path, capsys,
                                           monkeypatch):
-        # was a RuntimeError traceback; nudged as in
-        # tests/test_training.py::TestStage2::test_teacher_change_detected
+        # was a RuntimeError traceback
         name = "groups.0.0.mos2d.a_log"
-        orig_run_loop = train._run_loop
-
-        def run_loop(cfg, model, stage, teacher, *args):
-            result = orig_run_loop(cfg, model, stage, teacher, *args)
-            w = teacher.parameters()[name].data.reshape(-1)
-            w[3] = np.nextafter(w[3], np.inf)
-            return result
-
-        monkeypatch.setattr(train, "_run_loop", run_loop)
+        nudge_teacher_mid_run(monkeypatch, name)
         err = self.run_failure(trained, tmp_path, capsys, iterations=1,
                                periods=[1])
         assert err == (f"error: teacher parameter {name} changed during "
                        "stage 2\n")
+
+    def test_moved_teacher_writes_nothing(self, trained, tmp_path, capsys,
+                                          monkeypatch):
+        # the teacher is checked before the checkpoint and the loss log are
+        # written, so a failed run leaves neither behind
+        nudge_teacher_mid_run(monkeypatch, "groups.0.0.mos2d.a_log")
+        self.run_failure(trained, tmp_path, capsys, iterations=2,
+                         periods=[2])
+        run = tmp_path / "run"
+        assert not (run / "stage2.ckpt").exists()
+        assert not (run / "loss_stage2.csv").exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="lanes fork workers")
     def test_killed_worker_is_run_failure(self, trained, tmp_path, capsys,

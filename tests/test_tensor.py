@@ -281,6 +281,22 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("sa,sb", [
+        ((4,), (4,)), ((4,), (4, 3)), ((3, 4), (4,)), ((3, 4), (4, 2)),
+        ((2, 3, 4), (4, 5)),
+    ])
+    def test_frozen_operand_gets_no_gradient(self, sa, sb, rng):
+        # the rule forms no product for an operand that takes no gradient,
+        # and the other operand's gradient keeps its bytes
+        ad, bd = rng.normal(size=sa), rng.normal(size=sb)
+        grad = rng.normal(size=(ad @ bd).shape)
+        both = (Tensor(ad, requires_grad=True)
+                @ Tensor(bd, requires_grad=True))._backward(grad)
+        ga, gb = (Tensor(ad, requires_grad=True) @ Tensor(bd))._backward(grad)
+        assert gb is None and ga.tobytes() == both[0].tobytes()
+        ga, gb = (Tensor(ad) @ Tensor(bd, requires_grad=True))._backward(grad)
+        assert ga is None and gb.tobytes() == both[1].tobytes()
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_vector_weight_gradient_in_weight_order(self, rng, order):
         # x @ W.T of a 1-D Linear: W's gradient has the bytes of the plain

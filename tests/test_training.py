@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import run_script, toy_run_config
+from conftest import nudge_teacher_mid_run, run_script, toy_run_config
 from modem import train
 from modem.config import RunConfig, config_from_dict
 from modem.data import make_dataset
@@ -334,6 +334,43 @@ class TestSampleGraphRelease:
             "stage": 2, "iterations": 2, "periods": [2]}))
         train_stage2(cfg, r1.checkpoint_path)
         assert len(refs) == 4 and len(checks) >= 6
+
+
+class TestTapeSize:
+    """The tape a toy 64x64 stage-1 sample holds when its backward starts:
+    LayerNorm2d and MOS2D's gate are one node each and store no full-size
+    intermediate (640 nodes and 47.3 MiB when they were composed)."""
+
+    MAX_NODES = 500
+    MAX_MIB = 36.0
+
+    def test_toy_sample_tape(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(toy_run_config(str(tmp_path),
+                                              data={"patch": 64}))
+        model = build_model(cfg, 1)
+        (sample,) = make_dataset(1, 64, 64, ["haze"], [0.4, 0.6], 0)
+        seen, orig = {}, Tensor.backward
+
+        def backward(self):
+            seen["mib"] = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+            nodes, stack = set(), [self]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes.add(id(node))
+                    stack.extend(node._parents)
+            seen["nodes"] = len(nodes)
+            return orig(self)
+
+        monkeypatch.setattr(Tensor, "backward", backward)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train._sample_backward(model, sample, 1, 0.5, None)
+        finally:
+            tracemalloc.stop()
+        assert seen["nodes"] <= self.MAX_NODES, seen
+        assert seen["mib"] < self.MAX_MIB, seen
 
 
 # minor page faults of each toy stage-1 step at patch 64, from the
@@ -838,15 +875,7 @@ class TestStage2:
         # an error naming it
         _, r1 = stage1_result
         name = "groups.0.0.mos2d.a_log"
-        orig_run_loop = train._run_loop
-
-        def run_loop(cfg, model, stage, teacher, *args):
-            result = orig_run_loop(cfg, model, stage, teacher, *args)
-            w = teacher.parameters()[name].data.reshape(-1)
-            w[3] = np.nextafter(w[3], np.inf)
-            return result
-
-        monkeypatch.setattr(train, "_run_loop", run_loop)
+        nudge_teacher_mid_run(monkeypatch, name)
         cfg = config_from_dict(toy_run_config(str(tmp_path), train={
             "stage": 2, "iterations": 1, "periods": [1]}))
         with pytest.raises(RuntimeError,
